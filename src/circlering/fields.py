@@ -29,11 +29,16 @@ from .errors import (
     NotASquare,
 )
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for every n below 3.3e24."""
+    """Deterministic Miller-Rabin over the first 13 prime bases.
+
+    Exact for every n below psi_13 = 3317044064679887385961981, the
+    least strong pseudoprime to all of them (Sorenson-Webster); above
+    that bound True means "probable prime".
+    """
     if n < 2:
         return False
     for p in _MR_WITNESSES:

@@ -27,6 +27,7 @@ from .fields import (
     FieldDescriptor,
     FieldElement,
     PrimeField,
+    QuadraticExtension,
     Rationals,
     contains_sqrt_minus_one,
     prime_square_values,
@@ -37,6 +38,7 @@ from .plane import (
     Circle,
     PlanePoint,
     PointAtInfinityMarker,
+    _positive_rationals,
     enumerate_circle,
     point_from_parameter,
     rotate,
@@ -54,27 +56,28 @@ class SetStatus(enum.Enum):
 class CircularPointSet:
     """A set of circle points with pairwise rational squared distances.
 
-    The defining property is validated at construction unless the
-    caller explicitly opts out (internal fast paths do, after securing
-    the property another way).  `is_prefix` marks the finite prefix of a
-    countably infinite set over Q.
+    The defining property is always validated at construction.  Over a
+    prime field and over Q rationality is a class relation (two-class
+    theorem), so every point is checked against the first one only;
+    over a quadratic extension it is not transitive and every pair is
+    checked.  `is_prefix` marks the finite prefix of a countably
+    infinite set over Q.
     """
 
     __slots__ = ("circle", "points", "status", "is_prefix")
 
     def __init__(self, circle, points, status=SetStatus.UNCLASSIFIED,
-                 is_prefix=False, validate=True):
+                 is_prefix=False):
         pts = sorted(set(points), key=PlanePoint.sort_key)
-        if validate:
-            for p in pts:
-                circle.require(p)
-            for i, p in enumerate(pts):
-                for q in pts[i + 1 :]:
-                    d = squared_distance(p, q)
-                    if not d.is_prime_subfield_square():
-                        raise ValueError(
-                            f"non-rational distance {d} between {p} and {q}"
-                        )
+        for p in pts:
+            circle.require(p)
+        anchors = pts if isinstance(circle.field, QuadraticExtension) else pts[:1]
+        for i, p in enumerate(anchors):
+            for q in pts[i + 1 :]:
+                if not _rational(p, q):
+                    raise ValueError(
+                        f"non-rational distance {squared_distance(p, q)} between {p} and {q}"
+                    )
         self.circle = circle
         self.points = tuple(pts)
         self.status = status
@@ -138,36 +141,36 @@ class CardinalityAnswer:
     witness: tuple | None = None
 
 
+def _rational(p: PlanePoint, q: PlanePoint) -> bool:
+    """The rational-pair relation: the squared distance is a prime-subfield square."""
+    return squared_distance(p, q).is_prime_subfield_square()
+
+
 def is_rational_distance(c: Circle, p: PlanePoint, q: PlanePoint) -> bool:
     """Whether two circle points have rational squared distance."""
     c.require(p)
     c.require(q)
-    return squared_distance(p, q).is_prime_subfield_square()
+    return _rational(p, q)
 
 
-def partition_prime_field_circle(c: Circle, validate: bool = True):
+def partition_prime_field_circle(c: Circle):
     """Split a prime-field circle into its two e-maximal classes.
 
-    Points parametrized by t with t^2 + 1 a nonzero square form one
-    class together with the point (m1, m2 + r); the remaining points
-    form the other.  Over a prime field these two classes are exactly
-    the e-maximal (hence c-maximal) circular point sets.
+    Returns (the points not rational to the marker (m1, m2 + r), the
+    marker together with the points rational to it).  By the two-class
+    theorem these two classes are exactly the e-maximal (hence
+    c-maximal) circular point sets over a prime field.
     """
     field = c.field
     if not isinstance(field, PrimeField) or field.characteristic == 2:
         raise WrongFieldKind("partition needs a finite prime field of odd characteristic")
-    one = field.one
+    marker = point_from_parameter(c, AT_INFINITY)
     first, second = [], []
-    for t in field.elements():
-        tt1 = t * t + one
-        if tt1.is_zero():
-            continue
-        target = second if tt1.is_square() else first
-        target.append(point_from_parameter(c, t))
-    second.append(point_from_parameter(c, AT_INFINITY))
+    for p in enumerate_circle(c):
+        (second if _rational(marker, p) else first).append(p)
     return (
-        CircularPointSet(c, first, SetStatus.C_MAXIMAL, validate=validate),
-        CircularPointSet(c, second, SetStatus.C_MAXIMAL, validate=validate),
+        CircularPointSet(c, first, SetStatus.C_MAXIMAL),
+        CircularPointSet(c, second, SetStatus.C_MAXIMAL),
     )
 
 
@@ -222,7 +225,8 @@ def _witness_triangle(c: Circle, q: FieldElement):
     p3 = c.center + PlanePoint(x, -y)
     for p in (p1, p2, p3):
         c.require(p)
-    assert squared_distance(p1, p2) == q
+    if squared_distance(p1, p2) != q:
+        raise AssertionError(f"witness triangle for {q} has side {squared_distance(p1, p2)}")
     return (p1, p2, p3)
 
 
@@ -233,7 +237,8 @@ def _antipode_triangle(c: Circle, other_q: FieldElement):
     p1 = c.center + PlanePoint(r, field.zero)
     p2 = c.center + PlanePoint(-r, field.zero)
     third = points_at_distance(c, p1, other_q)[0]
-    assert squared_distance(p2, third).is_prime_subfield_square()
+    if not _rational(p2, third):
+        raise AssertionError(f"antipode triangle through {third} is not rational")
     return (p1, p2, third)
 
 
@@ -248,12 +253,24 @@ def _search_antipodal_triangle(c: Circle):
     for cand in enumerate_circle(c):
         if cand in (p1, p2):
             continue
-        if (
-            squared_distance(p1, cand).is_prime_subfield_square()
-            and squared_distance(p2, cand).is_prime_subfield_square()
-        ):
+        if _rational(p1, cand) and _rational(p2, cand):
             return (p1, p2, cand)
     return None
+
+
+def _antipodal_witness(c: Circle):
+    """A rational triangle with a 4r^2 side, or None when none exists."""
+    other = _first_other_perfect(c)
+    return _antipode_triangle(c, other) if other is not None else _search_antipodal_triangle(c)
+
+
+def _q_of(t: FieldElement, r2: FieldElement) -> FieldElement | None:
+    """The perfect distance (4tr^2/(t^2+r^2))^2 named by t; None when t^2 = -r^2."""
+    denom = t * t + r2
+    if denom.is_zero():
+        return None
+    val = t.field.from_int(4) * t * r2 / denom
+    return val * val
 
 
 def iter_perfect_distances(c: Circle):
@@ -275,47 +292,31 @@ def iter_perfect_distances(c: Circle):
         raise RadiusSquaredNotInPrimeField(
             "no circular point set of size >= 3 exists when r^2 is outside P(F)"
         )
-    four = field.from_int(4)
-    four_r2 = four * r2
-
-    def q_of(t: FieldElement):
-        denom = t * t + r2
-        if denom.is_zero():
-            return None
-        val = four * t * r2 / denom
-        return val * val
+    four_r2 = field.from_int(4) * r2
 
     if field.is_finite():
         seen = set()
-        first_q = None
         for k in range(1, field.characteristic):
-            q = q_of(field.from_int(k))
+            q = _q_of(field.from_int(k), r2)
             if q is None or q == four_r2 or q in seen:
                 continue
-            if first_q is None:
-                first_q = q
             seen.add(q)
             yield q, _witness_triangle(c, q)
         if four_r2.is_prime_subfield_square():
-            if first_q is not None:
-                yield four_r2, _antipode_triangle(c, first_q)
-            else:
-                triangle = _search_antipodal_triangle(c)
-                if triangle is not None:
-                    yield four_r2, triangle
+            triangle = _antipodal_witness(c)
+            if triangle is not None:
+                yield four_r2, triangle
         return
 
     # over Q: 4r^2 is always perfect (r is rational and other perfect
     # distances exist for every parameter t)
-    yield four_r2, _antipode_triangle(c, _first_other_perfect(c))
+    yield four_r2, _antipodal_witness(c)
     seen = {four_r2}
-    num, den = 1, 1  # Calkin-Wilf walk over the positive rationals
-    while True:
-        q = q_of(field(Fraction(num, den)))
+    for t in _positive_rationals():
+        q = _q_of(field(t), r2)
         if q is not None and q not in seen:
             seen.add(q)
             yield q, _witness_triangle(c, q)
-        num, den = den, 2 * (num // den) * den - num + den
 
 
 def perfect_distances(c: Circle) -> dict:
@@ -333,17 +334,11 @@ def _first_other_perfect(c: Circle) -> FieldElement | None:
     """The first parametrized perfect distance different from 4r^2, if any."""
     field = c.field
     r2 = c.radius * c.radius
-    four = field.from_int(4)
-    four_r2 = four * r2
+    four_r2 = field.from_int(4) * r2
     bound = field.characteristic if field.is_finite() else 4
     for k in range(1, bound):
-        t = field.from_int(k)
-        denom = t * t + r2
-        if denom.is_zero():
-            continue
-        val = four * t * r2 / denom
-        q = val * val
-        if q != four_r2:
+        q = _q_of(field.from_int(k), r2)
+        if q is not None and q != four_r2:
             return q
     return None
 
@@ -360,12 +355,15 @@ def is_perfect_distance(c: Circle, q) -> bool:
     if field.characteristic == 2:
         raise WrongFieldKind("perfect distances are defined for characteristic != 2")
     q = field(q)
+    return _is_perfect(c, q, check_acp(c, q))
+
+
+def _is_perfect(c: Circle, q: FieldElement, acp: bool) -> bool:
+    """is_perfect_distance for a q whose a.c.p. verdict is already known."""
     r2 = c.radius * c.radius
-    if q.is_zero() or not q.is_prime_subfield_square() or not r2.in_prime_subfield():
+    if q.is_zero() or not acp or not r2.in_prime_subfield():
         return False
-    if not check_acp(c, q):
-        return False
-    if q != field.from_int(4) * r2:
+    if q != c.field.from_int(4) * r2:
         return True
     if _first_other_perfect(c) is not None:
         return True
@@ -380,18 +378,13 @@ def perfect_distance_report(c: Circle, q) -> PerfectDistanceReport:
     q = field(q)
     rational = q.is_prime_subfield_square()
     acp = check_acp(c, q)
-    perfect = is_perfect_distance(c, q)
+    perfect = _is_perfect(c, q, acp)
     witness = None
     if perfect:
         if q != field.from_int(4) * (c.radius * c.radius):
             witness = _witness_triangle(c, q)
         else:
-            other = _first_other_perfect(c)
-            witness = (
-                _antipode_triangle(c, other)
-                if other is not None
-                else _search_antipodal_triangle(c)
-            )
+            witness = _antipodal_witness(c)
     return PerfectDistanceReport(c, q, rational, acp, perfect, witness)
 
 
@@ -422,23 +415,22 @@ def points_at_distance(c: Circle, base: PlanePoint, q) -> list[PlanePoint]:
     out = sorted((rotate(p, rho) + c.center for p in raw), key=PlanePoint.sort_key)
     for p in out:
         c.require(p)
-        assert squared_distance(base, p) == q
+        if squared_distance(base, p) != q:
+            raise AssertionError(f"{p} is at {squared_distance(base, p)}, not {q}, from {base}")
     return out
 
 
-def _best_pair_from(c: Circle, seed: PlanePoint) -> CircularPointSet:
-    """Fallback when no perfect distance exists: the best set is a pair.
+def _rational_partner(c: Circle, seed: PlanePoint) -> PlanePoint | None:
+    """The first circle point other than `seed` rational to it, or None.
 
-    By the uniformity property a rational partner of any point exists
-    exactly when one exists for the seed, so scanning from the seed is
-    exhaustive enough.
+    Exhaustive scan of a finite circle.  By the uniformity property a
+    rational partner of any point exists exactly when one exists for
+    the seed.
     """
     for cand in enumerate_circle(c):
-        if cand == seed:
-            continue
-        if squared_distance(seed, cand).is_prime_subfield_square():
-            return CircularPointSet(c, [seed, cand], SetStatus.C_MAXIMAL)
-    return CircularPointSet(c, [seed], SetStatus.C_MAXIMAL)
+        if cand != seed and _rational(seed, cand):
+            return cand
+    return None
 
 
 def iter_maximal_points(c: Circle, seed: PlanePoint):
@@ -462,7 +454,7 @@ def grow_maximal_set(c: Circle, seed: PlanePoint, prefix: int = 64) -> CircularP
     """The c-maximal circular point set containing `seed`.
 
     Constructed as the seed plus every point at a perfect distance from
-    it; the pairwise rationality of the result is re-verified.  Finite
+    it; the result is validated like every CircularPointSet.  Finite
     fields give the complete set, whose size is 1 + 2*(#perfect
     distances != 4r^2) + (1 if 4r^2 is perfect).  Over Q the set is
     countably infinite and a prefix of `prefix` points is returned
@@ -476,20 +468,19 @@ def grow_maximal_set(c: Circle, seed: PlanePoint, prefix: int = 64) -> CircularP
     c.require(seed)
     if field.characteristic == 2:
         return CircularPointSet(c, enumerate_circle(c), SetStatus.C_MAXIMAL)
-    r2 = c.radius * c.radius
-    if not r2.in_prime_subfield():
-        return _best_pair_from(c, seed)
-    if field.is_finite():
-        pd = perfect_distances(c)
-        if not pd:
-            return _best_pair_from(c, seed)
-        pts = [seed]
-        for q in pd:
-            pts.extend(points_at_distance(c, seed, q))
-        return CircularPointSet(c, pts, SetStatus.C_MAXIMAL)
-    stream = iter_maximal_points(c, seed)
-    pts = [next(stream) for _ in range(max(prefix, 1))]
-    return CircularPointSet(c, pts, SetStatus.C_MAXIMAL, is_prefix=True)
+    if not field.is_finite():
+        stream = iter_maximal_points(c, seed)
+        pts = [next(stream) for _ in range(max(prefix, 1))]
+        return CircularPointSet(c, pts, SetStatus.C_MAXIMAL, is_prefix=True)
+    pd = perfect_distances(c) if (c.radius * c.radius).in_prime_subfield() else {}
+    pts = [seed]
+    for q in pd:
+        pts.extend(points_at_distance(c, seed, q))
+    if not pd:
+        partner = _rational_partner(c, seed)
+        if partner is not None:
+            pts.append(partner)
+    return CircularPointSet(c, pts, SetStatus.C_MAXIMAL)
 
 
 def rationality_adjacency(points: list[PlanePoint]) -> list[int]:
@@ -500,17 +491,17 @@ def rationality_adjacency(points: list[PlanePoint]) -> list[int]:
         return adj
     field = points[0].field
     if field.is_finite() and field.characteristic != 2:
-        sqset = prime_square_values(field.characteristic)
-        if isinstance(field, PrimeField):
-            rational = lambda d: d.value in sqset
-        else:
-            rational = lambda d: d.value[1] == 0 and d.value[0] in sqset
+        # fast path: compare raw residues against the prime-subfield squares
+        squares = prime_square_values(field.characteristic)
+        if not isinstance(field, PrimeField):
+            squares = {(s, 0) for s in squares}
+        rational = lambda p, q: squared_distance(p, q).value in squares
     else:
-        rational = lambda d: d.is_prime_subfield_square()
+        rational = _rational
     for i in range(n):
         pi = points[i]
         for j in range(i + 1, n):
-            if rational(squared_distance(pi, points[j])):
+            if rational(pi, points[j]):
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
     return adj
@@ -561,7 +552,6 @@ def enumerate_emaximal_sets(c: Circle, seed: PlanePoint, cap: int = 4096):
             c,
             ms,
             SetStatus.C_MAXIMAL if len(ms) == best else SetStatus.E_MAXIMAL,
-            validate=False,  # cliques of the rationality graph by construction
         )
         for ms in cliques
     ]
@@ -575,8 +565,8 @@ def cmaximal_cardinality(field: FieldDescriptor, r, witness_cap: int = 10_000) -
     (char +- 1)/2 for larger finite characteristic, the sign fixed by
     whether -1 is a square in the prime subfield and by where r sits;
     countably infinite over Q.  "At most two" answers carry a witness
-    pair when an exhaustive scan (up to witness_cap circle points)
-    finds one.
+    pair through the marker point (0, r) when an exhaustive scan (up to
+    witness_cap circle points) finds one.
     """
     r = field(r)
     if r.is_zero():
@@ -589,14 +579,12 @@ def cmaximal_cardinality(field: FieldDescriptor, r, witness_cap: int = 10_000) -
     r2 = r * r
     if not r2.in_prime_subfield():
         witness = None
-        origin = PlanePoint(field.zero, field.zero)
-        if field.order is not None and field.order + 1 <= witness_cap:
-            pts = enumerate_circle(Circle(origin, r))
-            # by uniformity a rational pair exists iff one exists through pts[0]
-            for cand in pts[1:]:
-                if squared_distance(pts[0], cand).is_prime_subfield_square():
-                    witness = (pts[0], cand)
-                    break
+        if field.order + 1 <= witness_cap:
+            c = Circle(PlanePoint(field.zero, field.zero), r)
+            marker = point_from_parameter(c, AT_INFINITY)
+            partner = _rational_partner(c, marker)
+            if partner is not None:
+                witness = (marker, partner)
         return CardinalityAnswer("at_most_two", witness=witness)
     if char == 3:
         return CardinalityAnswer("finite", 2)

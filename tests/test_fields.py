@@ -34,6 +34,16 @@ def test_primality_helper():
     assert primes_up_to(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
 
+def test_primality_exact_past_twelve_bases():
+    # psi_12, the least strong pseudoprime to the prime bases 2..37
+    psi12 = 399165290221 * 798330580441
+    assert psi12 == 318665857834031151167461
+    assert not is_prime(psi12)
+    with pytest.raises(ValueError):
+        PrimeField(psi12)
+    assert is_prime(2**61 - 1)
+
+
 def test_descriptor_construction_rejects_bad_input():
     with pytest.raises(ValueError):
         PrimeField(15)

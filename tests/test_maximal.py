@@ -1,8 +1,12 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import islice
 
 import pytest
 
+import circlering
 from circlering.errors import (
     InfiniteField,
     NotPerfect,
@@ -356,3 +360,73 @@ def test_circular_point_set_validation():
         CircularPointSet(C7, [point(F7, 0, 1), point(F7, 2, 2)])  # distance 5
     with pytest.raises(Exception):
         CircularPointSet(C7, [point(F7, 1, 1)])  # not on the circle
+    cq = circle(Q, (0, 0), 1)
+    coset1 = [point_from_parameter(cq, t) for t in (Fraction(0), Fraction(3, 4), Fraction(4, 3))]
+    CircularPointSet(cq, coset1)
+    with pytest.raises(ValueError):  # t = 1 has t^2 + 1 = 2, another coset
+        CircularPointSet(cq, coset1 + [point_from_parameter(cq, Fraction(1))])
+
+
+def test_point_set_validation_matches_clique_oracle(rng):
+    # over F_p rationality is a class relation, so the one-point check
+    # must accept exactly the cliques of the brute-force rationality graph
+    outcomes = set()
+    for p in [p for p in primes_up_to(50) if p % 2]:
+        field = PrimeField(p)
+        for _ in range(2):
+            center = (rng.randrange(p), rng.randrange(p))
+            c = circle(field, center, rng.randrange(1, p))
+            pts = sorted(brute_circle_prime(p, *center, c.radius.value))
+            adj = rationality_graph_prime(p, pts)
+            for _ in range(12):
+                first = rng.randrange(len(pts))
+                pool = [first] + [j for j in range(len(pts)) if adj[first] >> j & 1]
+                chosen = set(rng.sample(pool, rng.randint(1, min(len(pool), 6))))
+                if rng.random() < 0.5:
+                    chosen.add(rng.randrange(len(pts)))
+                clique = all(adj[i] >> j & 1 for i in chosen for j in chosen if i != j)
+                members = [point(field, *pts[i]) for i in chosen]
+                try:
+                    CircularPointSet(c, members)
+                    accepted = True
+                except ValueError:
+                    accepted = False
+                assert accepted == clique, (p, center, sorted(chosen))
+                outcomes.add(accepted)
+    assert outcomes == {True, False}
+
+
+def test_point_set_validation_checks_every_pair_over_extensions():
+    # (0,1) is rational to both other points, but (0,6)-(a,4) has squared
+    # distance a^2 + 4 = 3, a non-square of F_7: checking one point is not enough
+    marker, antipode, third = point(F49, 0, 1), point(F49, 0, 6), point(F49, (0, 1), 4)
+    assert is_rational_distance(C49, marker, antipode)
+    assert is_rational_distance(C49, marker, third)
+    assert squared_distance(antipode, third) == F49(3)
+    CircularPointSet(C49, [marker, antipode])
+    CircularPointSet(C49, [marker, third])
+    with pytest.raises(ValueError):
+        CircularPointSet(C49, [marker, antipode, third])
+
+
+def test_invariant_checks_survive_optimize():
+    # internal invariants are explicit checks, not asserts that -O strips
+    script = (
+        "import sys\n"
+        "import circlering.maximal as m\n"
+        "from circlering.fields import PrimeField\n"
+        "from circlering.plane import circle, point\n"
+        "if not sys.flags.optimize:\n"
+        "    sys.exit(2)\n"
+        "f = PrimeField(7)\n"
+        "m.squared_distance = lambda p, q: f(0)\n"
+        "try:\n"
+        "    m.points_at_distance(circle(f, (0, 0), 1), point(f, 0, 1), 2)\n"
+        "except AssertionError:\n"
+        "    sys.exit(0)\n"
+        "sys.exit(1)\n"
+    )
+    src = os.path.dirname(os.path.dirname(circlering.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env, timeout=60)
+    assert done.returncode == 0
