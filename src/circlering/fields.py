@@ -10,13 +10,17 @@ Supported fields:
 All arithmetic is exact; there is no floating point anywhere.  Elements
 are immutable value objects and safe to share between threads.
 
-Besides the four operations the module provides square testing (Euler
-criterion over finite fields, perfect-square test over Q), canonical
-square roots (Tonelli-Shanks over finite fields), prime-subfield
-membership tests, and the squarefree-part map that names the coset of a
-nonzero rational in Q*/squares.
+Besides the four operations the module provides powers (one
+square-and-multiply, or the builtin where the field has one), square
+testing (Euler criterion over finite fields, perfect-square test over
+Q), canonical square roots (one Tonelli-Shanks for both kinds of finite
+field), prime-subfield membership tests, the squarefree-part map that
+names the coset of a nonzero rational in Q*/squares, and the primality
+test behind every prime modulus (exact below psi_13 =
+3317044064679887385961981, Baillie-PSW above).
 """
 
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -30,14 +34,17 @@ from .errors import (
 )
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI13 = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin over the first 13 prime bases.
+    """Miller-Rabin over the first 13 prime bases, plus a strong Lucas test above psi_13.
 
     Exact for every n below psi_13 = 3317044064679887385961981, the
-    least strong pseudoprime to all of them (Sorenson-Webster); above
-    that bound True means "probable prime".
+    least strong pseudoprime to all 13 bases (Sorenson-Webster).  From
+    psi_13 on, n must also pass a strong Lucas test with Selfridge's
+    parameters, which with base 2 makes the Baillie-PSW test: no
+    composite passing it is known, but none is proven impossible.
     """
     if n < 2:
         return False
@@ -59,7 +66,58 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _PSI13 or _is_strong_lucas_probable_prime(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _is_strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas test with Selfridge's parameters, for odd n > 5.
+
+    D is the first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1 and
+    Q = (1 - D)/4; with n + 1 = d 2^s, n passes when U_d = 0 or
+    V_(d 2^k) = 0 for some k < s (all mod n).
+    """
+    if math.isqrt(n) ** 2 == n:
+        return False  # no D has (D/n) = -1
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0 and abs(D) != n:
+            return False  # D shares a factor with n
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    half = (n + 1) // 2  # the inverse of 2 mod n
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    # left-to-right over the bits of d: k -> 2k, then k -> k + 1 on a 1 bit
+    U, V, Qk = 0, 2, 1
+    for bit in bin(d)[2:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = (U + V) * half % n, (D * U + V) * half % n, Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 _sieve_cache: list[int] = []
@@ -89,22 +147,29 @@ def primes_up_to(limit: int) -> list[int]:
     return out
 
 
+def _trial_division(n: int, bound: int) -> tuple[dict[int, int], int]:
+    """The primes p <= bound dividing n, with exponents, and the cofactor left.
+
+    Stops once p^2 exceeds what is left, so a cofactor c > 1 has no
+    prime factor below min(bound, sqrt(c)).
+    """
+    exponents: dict[int, int] = {}
+    for p in primes_up_to(min(bound, math.isqrt(n) + 1)):
+        if p * p > n:
+            break
+        while n % p == 0:
+            n //= p
+            exponents[p] = exponents.get(p, 0) + 1
+    return exponents, n
+
+
 def _squarefree_part_int(n: int, bound: int) -> int:
     """Squarefree part of a positive integer by trial division to `bound`."""
     root = math.isqrt(n)
     if root * root == n:
         return 1  # every prime exponent is even
-    part = 1
-    for p in primes_up_to(min(bound, math.isqrt(n) + 1)):
-        if p * p > n:
-            break
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            if e % 2:
-                part *= p
+    exponents, n = _trial_division(n, bound)
+    part = math.prod(p for p, e in exponents.items() if e % 2)
     if n == 1:
         return part
     if n <= bound * bound:
@@ -182,17 +247,8 @@ class FieldElement:
     def __pow__(self, n: int):
         if not isinstance(n, int):
             raise TypeError("exponent must be an int")
-        base = self
-        if n < 0:
-            base = self.inverse()
-            n = -n
-        result = self.field.one
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        base = self.inverse() if n < 0 else self
+        return FieldElement(self.field, self.field._pow(base.value, abs(n)))
 
     def inverse(self):
         """Multiplicative inverse; DivisionByZero on the zero element."""
@@ -281,6 +337,9 @@ class FieldDescriptor:
 
     def elements(self):
         """All field elements in sort-key order (finite fields only)."""
+        return (FieldElement(self, v) for v in self._raw_elements())
+
+    def _raw_elements(self):
         raise InfiniteField(f"{self} is infinite")
 
     def parse(self, text: str) -> FieldElement:
@@ -337,15 +396,23 @@ class PrimeField(FieldDescriptor):
     def _inv(self, a):
         return pow(a, -1, self.p)
 
+    def _pow(self, a, n):
+        return pow(a, n, self.p)
+
     def _is_square(self, a):
         if a == 0 or self.p == 2:
             return True
         return pow(a, (self.p - 1) // 2, self.p) == 1
 
+    def _non_square(self):
+        return next(z for z in range(2, self.p) if not self._is_square(z))
+
     def _sqrt(self, a):
         # canonical choice: the root in [0, (p-1)/2]
-        r = _tonelli_shanks(a, self.p)
-        return min(r, (self.p - r) % self.p)
+        if a == 0 or self.p == 2:
+            return a
+        r = _tonelli_shanks(self, a)
+        return min(r, self.p - r)
 
     def _in_prime_subfield(self, a):
         return True
@@ -365,45 +432,58 @@ class PrimeField(FieldDescriptor):
     def _parse(self, text):
         return int(text.strip()) % self.p
 
-    def elements(self):
-        for a in range(self.p):
-            yield FieldElement(self, a)
+    def _raw_elements(self):
+        return range(self.p)
 
     def to_text(self):
         return f"Fp:{self.p}"
 
 
-def _tonelli_shanks(a: int, p: int) -> int:
-    """One square root of a quadratic residue a modulo the prime p."""
-    a %= p
-    if a == 0:
-        return 0
-    if p == 2:
-        return a
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    q, s = p - 1, 0
+def _power(mul, one, a, n: int):
+    """a^n for n >= 0 by square-and-multiply over the product `mul`."""
+    result = one
+    while n:
+        if n & 1:
+            result = mul(result, a)
+        n >>= 1
+        if n:
+            a = mul(a, a)
+    return result
+
+
+def _tonelli_shanks(field, a):
+    """One square root of the nonzero square `a` (a raw value) in a field of odd order."""
+    order, mul, power = field.order, field._mul, field._pow
+    if order % 4 == 3:
+        return power(a, (order + 1) // 4)
+    one = field._canon(1)
+    q, s = order - 1, 0
     while q % 2 == 0:
         q //= 2
         s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    c = pow(z, q, p)
-    x = pow(a, (q + 1) // 2, p)
-    t = pow(a, q, p)
+    c = power(field._non_square(), q)
+    x = power(a, (q + 1) // 2)
+    t = power(a, q)
     m = s
-    while t != 1:
+    while t != one:
         i, e = 0, t
-        while e != 1:
-            e = e * e % p
+        while e != one:
+            e = mul(e, e)
             i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        x = x * b % p
-        c = b * b % p
-        t = t * c % p
+        b = power(c, 1 << (m - i - 1))
+        x = mul(x, b)
+        c = mul(b, b)
+        t = mul(t, c)
         m = i
     return x
+
+
+def _is_irreducible(prime_field: PrimeField, f0: int, f1: int) -> bool:
+    """Whether x^2 + f1 x + f0 has no root in the prime field."""
+    p = prime_field.p
+    if p == 2:
+        return all((x * x + f1 * x + f0) % 2 for x in (0, 1))
+    return not prime_field._is_square((f1 * f1 - 4 * f0) % p)
 
 
 _POLY_RE = re.compile(
@@ -416,22 +496,20 @@ class QuadraticExtension(FieldDescriptor):
 
     The modulus is f = x^2 + c1*x + c0 and elements are pairs (c0, c1)
     standing for c0 + c1*a, both coefficients reduced modulo p.
-    Irreducibility is verified at construction by scanning the p
-    residues for a root.
+    Irreducibility is verified at construction: for odd p the
+    discriminant c1^2 - 4 c0 must be a non-square of F_p; over F_2 the
+    polynomial must not vanish at 0 or 1.
     """
 
     kind = "quadratic"
-    __slots__ = ("p", "f0", "f1")
+    __slots__ = ("p", "f0", "f1", "_prime")
 
     def __init__(self, p: int, f: tuple[int, int]):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
+        prime_field = PrimeField(p)
         f0, f1 = int(f[0]) % p, int(f[1]) % p
-        for x in range(p):
-            if (x * x + f1 * x + f0) % p == 0:
-                raise ValueError(
-                    f"x^2 + {f1}x + {f0} has root {x} mod {p}; not irreducible"
-                )
+        if not _is_irreducible(prime_field, f0, f1):
+            raise ValueError(f"x^2 + {f1}x + {f0} has a root mod {p}; not irreducible")
+        self._prime = prime_field
         self.p = p
         self.f0 = f0
         self.f1 = f1
@@ -486,18 +564,14 @@ class QuadraticExtension(FieldDescriptor):
         return ((a[0] - self.f1 * a[1]) * n_inv % p, -a[1] * n_inv % p)
 
     def _pow(self, a, n):
-        result = (1, 0)
-        while n:
-            if n & 1:
-                result = self._mul(result, a)
-            a = self._mul(a, a)
-            n >>= 1
-        return result
+        return _power(self._mul, (1, 0), a, n)
 
     def _is_square(self, a):
-        if a == (0, 0) or self.p == 2:
-            return True
-        return self._pow(a, (self.order - 1) // 2) == (1, 0)
+        # a is a square exactly when its norm a^(p+1) is a square of F_p
+        return a == (0, 0) or self._prime._is_square(self._norm(a))
+
+    def _non_square(self):
+        return next((c0, 1) for c0 in range(self.p) if not self._is_square((c0, 1)))
 
     def _sqrt(self, a):
         if a == (0, 0):
@@ -505,47 +579,18 @@ class QuadraticExtension(FieldDescriptor):
         if self.p == 2:
             # Frobenius is bijective: root = a^(|F|/2)
             return self._pow(a, self.order // 2)
-        r = self._tonelli(a)
+        r = _tonelli_shanks(self, a)
         # canonical choice: lexicographically smaller of the two roots
         return min(r, self._neg(r))
-
-    def _tonelli(self, a):
-        n = self.order
-        q, s = n - 1, 0
-        while q % 2 == 0:
-            q //= 2
-            s += 1
-        z = next(v for v in self._raw_elements() if v != (0, 0) and not self._is_square(v))
-        c = self._pow(z, q)
-        x = self._pow(a, (q + 1) // 2)
-        t = self._pow(a, q)
-        m = s
-        while t != (1, 0):
-            i, e = 0, t
-            while e != (1, 0):
-                e = self._mul(e, e)
-                i += 1
-            b = self._pow(c, 1 << (m - i - 1))
-            x = self._mul(x, b)
-            c = self._mul(b, b)
-            t = self._mul(t, c)
-            m = i
-        return x
 
     def _in_prime_subfield(self, a):
         return a[1] == 0
 
     def _is_prime_subfield_square(self, a):
-        if a[1] != 0:
-            return False
-        c0, p = a[0], self.p
-        if c0 == 0 or p == 2:
-            return True
-        return pow(c0, (p - 1) // 2, p) == 1
+        return a[1] == 0 and self._prime._is_square(a[0])
 
     def _prime_sqrt(self, a):
-        r = _tonelli_shanks(a[0], self.p)
-        return (min(r, (self.p - r) % self.p), 0)
+        return (self._prime._sqrt(a[0]), 0)
 
     def _sort_key(self, a):
         return a
@@ -572,13 +617,7 @@ class QuadraticExtension(FieldDescriptor):
         return (c0 % self.p, c1 % self.p)
 
     def _raw_elements(self):
-        for c0 in range(self.p):
-            for c1 in range(self.p):
-                yield (c0, c1)
-
-    def elements(self):
-        for v in self._raw_elements():
-            yield FieldElement(self, v)
+        return itertools.product(range(self.p), repeat=2)
 
     def to_text(self):
         poly = "x^2"
@@ -626,6 +665,9 @@ class Rationals(FieldDescriptor):
 
     def _inv(self, a):
         return 1 / a
+
+    def _pow(self, a, n):
+        return a ** n
 
     def _is_square(self, a):
         if a < 0:

@@ -4,10 +4,13 @@ Points of C((0,0), r) form an abelian group under
 
     (a1, a2) * (b1, b2) = ((a1 b1 - a2 b2)/r, (a1 b2 + a2 b1)/r)
 
-with identity (r, 0) and inverse (a1, -a2).  This module implements the
-product, fast powers, square roots (tied to perfect distances over
-prime fields), element orders, and the cyclic/acyclic classification of
-rational points via Gaussian integers.
+with identity (r, 0) and inverse (a1, -a2): the product of the norm-1
+elements (a1 + i a2)/r of F[i].  This module implements the product,
+powers (square-and-multiply over `rot_mul`), square roots (tied to
+perfect distances over prime fields), element orders, and the
+cyclic/acyclic classification of rational points via Gaussian integers.
+Every element it returns is built by `RotationElement`, which checks
+that the point lies on the circle.
 """
 
 import math
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CircleMismatch, NotCoprime, WrongFieldKind
-from .fields import PrimeField, Rationals, primes_up_to
+from .fields import FieldElement, PrimeField, Rationals, _power, _trial_division
 from .maximal import is_perfect_distance
 from .plane import Circle, PlanePoint, circle_cardinality, enumerate_circle, squared_distance
 
@@ -82,28 +85,21 @@ def rot_mul(a: RotationElement, b: RotationElement) -> RotationElement:
     """The rotation product of two elements of the same circle group."""
     if a.circle != b.circle:
         raise CircleMismatch(f"elements of {a.circle} and {b.circle}")
-    r_inv = a.circle.radius.inverse()
-    a1, a2 = a.point.x, a.point.y
-    b1, b2 = b.point.x, b.point.y
-    return RotationElement(
-        a.circle,
-        PlanePoint((a1 * b1 - a2 * b2) * r_inv, (a1 * b2 + a2 * b1) * r_inv),
-    )
+    field = a.field
+    mul = field._mul
+    r_inv = field._inv(a.circle.radius.value)
+    a1, a2 = a.point.x.value, a.point.y.value
+    b1, b2 = b.point.x.value, b.point.y.value
+    x = mul(field._sub(mul(a1, b1), mul(a2, b2)), r_inv)
+    y = mul(field._add(mul(a1, b2), mul(a2, b1)), r_inv)
+    return RotationElement(a.circle, PlanePoint(FieldElement(field, x), FieldElement(field, y)))
 
 
 def rot_pow(a: RotationElement, n: int) -> RotationElement:
-    """n-th power by square-and-multiply; a^0 is the identity (r, 0)."""
+    """n-th power by square-and-multiply over rot_mul; a^0 is the identity (r, 0)."""
     if not isinstance(n, int) or n < 0:
         raise ValueError("exponent must be a nonnegative integer")
-    result = identity_element(a.circle)
-    base = a
-    while n:
-        if n & 1:
-            result = rot_mul(result, base)
-        n >>= 1
-        if n:
-            base = rot_mul(base, base)
-    return result
+    return _power(rot_mul, identity_element(a.circle), a, n)
 
 
 def induced_squared_distance(a: RotationElement):
@@ -164,16 +160,10 @@ def rot_sqrt(a: RotationElement, unchecked: bool = False) -> RotationElement | N
 
 
 def _factorize(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for p in primes_up_to(math.isqrt(n) + 1):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        if n == 1:
-            break
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+    exponents, cofactor = _trial_division(n, math.isqrt(n) + 1)
+    if cofactor > 1:
+        exponents[cofactor] = 1  # no factor up to its square root: prime
+    return exponents
 
 
 def group_order(circle: Circle) -> int:

@@ -14,7 +14,9 @@ and reports one JSON-ready record per field instance:
 from .fields import (
     PrimeField,
     QuadraticExtension,
+    _is_irreducible,
     contains_sqrt_minus_one,
+    prime_square_values,
     primes_up_to,
 )
 from .maximal import cmaximal_cardinality, grow_maximal_set
@@ -33,7 +35,7 @@ def _unit_circle_classes(p: int):
     a nonzero non-square / nonzero square; scaling by r produces the
     radius-r classes because the parameter t is radius-independent.
     """
-    squares = frozenset(x * x % p for x in range(p // 2 + 1))
+    squares = prime_square_values(p)
     inv = [0] * p
     if p > 1:
         inv[1] = 1
@@ -220,9 +222,10 @@ def _mod4_record(field) -> dict:
 
 def _extension_modulus(p: int) -> tuple[int, int]:
     """A monic irreducible quadratic x^2 + c1 x + c0 over F_p."""
+    prime_field = PrimeField(p)
     for c0 in range(p):
         for c1 in range(p):
-            if all((x * x + c1 * x + c0) % p for x in range(p)):
+            if _is_irreducible(prime_field, c0, c1):
                 return (c0, c1)
     raise AssertionError(f"no irreducible quadratic over F_{p}")
 

@@ -101,6 +101,21 @@ def perfect_distances_by_triangles(p: int, r: int) -> set:
     return out
 
 
+def rot_mul_residues(p: int, r: int, a: tuple, b: tuple) -> tuple:
+    """Rotation product on C((0,0), r) over F_p, from the defining formula."""
+    r_inv = pow(r, -1, p)
+    (a1, a2), (b1, b2) = a, b
+    return ((a1 * b1 - a2 * b2) * r_inv % p, (a1 * b2 + a2 * b1) * r_inv % p)
+
+
+def rot_pow_residues(p: int, r: int, a: tuple, n: int) -> tuple:
+    """n-fold rotation product of a over F_p, starting from the identity (r, 0)."""
+    acc = (r % p, 0)
+    for _ in range(n):
+        acc = rot_mul_residues(p, r, acc, a)
+    return acc
+
+
 def iterated_rot_pow(element, n: int):
     """n-fold rotation product, the slow way."""
     from circlering.rotation import identity_element, rot_mul

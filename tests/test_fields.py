@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from itertools import product
 
 import pytest
+
+import circlering
 
 from circlering.errors import (
     DescriptorMismatch,
@@ -12,6 +18,7 @@ from circlering.fields import (
     PrimeField,
     QuadraticExtension,
     Rationals,
+    _is_strong_lucas_probable_prime,
     contains_sqrt_minus_one,
     is_prime,
     parse_descriptor,
@@ -44,6 +51,23 @@ def test_primality_exact_past_twelve_bases():
     assert is_prime(2**61 - 1)
 
 
+def test_primality_baillie_psw_past_thirteen_bases():
+    # psi_13, the least strong pseudoprime to the prime bases 2..41
+    psi13 = 1287836182261 * 2575672364521
+    assert psi13 == 3317044064679887385961981
+    assert not is_prime(psi13)
+    with pytest.raises(ValueError):
+        PrimeField(psi13)
+    assert is_prime(2**89 - 1) and is_prime(2**127 - 1)
+
+
+def test_strong_lucas_pseudoprimes():
+    primes = set(primes_up_to(20000))
+    passing = [n for n in range(7, 20000, 2) if n not in primes and _is_strong_lucas_probable_prime(n)]
+    assert passing == [5459, 5777, 10877, 16109, 18971]
+    assert all(_is_strong_lucas_probable_prime(p) for p in primes if 7 <= p <= 10**4)
+
+
 def test_descriptor_construction_rejects_bad_input():
     with pytest.raises(ValueError):
         PrimeField(15)
@@ -51,6 +75,32 @@ def test_descriptor_construction_rejects_bad_input():
         QuadraticExtension(5, (4, 0))  # x^2 + 4 = x^2 - 1 has roots
     with pytest.raises(ValueError):
         QuadraticExtension(8, (1, 0))
+    with pytest.raises(ValueError):
+        QuadraticExtension(2**61 - 1, (-4, 0))  # x^2 - 4 = (x - 2)(x + 2)
+    accepted = []
+    for f in product(range(2), repeat=2):
+        try:
+            QuadraticExtension(2, f)
+        except ValueError:
+            continue
+        accepted.append(f)
+    assert accepted == [(1, 1)]
+
+
+def test_extension_work_is_polynomial_in_log_p():
+    # run apart so that a construction linear in p fails on the timeout instead of hanging
+    script = (
+        "from circlering.fields import QuadraticExtension\n"
+        "from circlering.keyex import decode, encode\n"
+        "field = QuadraticExtension(2**61 - 1, (1, 0))\n"
+        "root = field((3, 0)).sqrt()\n"
+        "assert root * root == field(3)\n"
+        "assert decode(encode(field((3, 5)))) == field((3, 5))\n"
+    )
+    src = os.path.dirname(os.path.dirname(circlering.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script], env=env, timeout=30)
+    assert done.returncode == 0
 
 
 def test_arithmetic_golden_values():
@@ -91,6 +141,26 @@ def test_field_axioms_randomized(rng):
             if not b.is_zero():
                 assert b * b.inverse() == field.one
                 assert (a / b) * b == a
+
+
+def test_pow_matches_repeated_product():
+    rationals = [Q(Fraction(n, d)) for n in range(-3, 4) for d in (1, 2, 5)]
+    for field in (F7, PrimeField(2), F49, QuadraticExtension(2, (1, 1)), Q):
+        for e in list(field.elements()) if field.is_finite() else rationals:
+            acc = field.one
+            for n in range(21):
+                assert e ** n == acc
+                acc = acc * e
+            if e.is_zero():
+                for n in range(-5, 0):
+                    with pytest.raises(DivisionByZero):
+                        e ** n
+                continue
+            acc = field.one
+            for n in range(1, 6):
+                acc = acc / e
+                assert e ** -n == acc
+    assert F7(0) ** 0 == F7(1) and F49(0) ** 0 == F49(1) and Q(0) ** 0 == Q(1)
 
 
 def test_square_sets_known_values():
@@ -146,12 +216,13 @@ def test_sqrt_golden_and_roundtrip(rng):
 
 
 def test_extension_sqrt_roundtrip():
-    field = QuadraticExtension(13, (11, 0))
-    for e in field.elements():
-        if e.is_square():
-            root = e.sqrt()
-            assert root * root == e
-            assert root.sort_key() <= (-root).sort_key()
+    # x^2 + 1 over F_7 and F_3 has a square f0, x^2 + 11 over F_13 does not
+    for field in (QuadraticExtension(13, (11, 0)), F49, QuadraticExtension(3, (1, 0))):
+        for e in field.elements():
+            if e.is_square():
+                root = e.sqrt()
+                assert root * root == e
+                assert root.sort_key() <= (-root).sort_key()
 
 
 def test_sqrt_minus_one_criterion():

@@ -21,7 +21,7 @@ from circlering.rotation import (
     rotation_element,
 )
 
-from oracles import iterated_rot_pow
+from oracles import iterated_rot_pow, rot_mul_residues, rot_pow_residues
 
 F7 = PrimeField(7)
 F13 = PrimeField(13)
@@ -85,6 +85,38 @@ def test_rot_pow_golden_and_oracle(rng):
         n = rng.randrange(0, 65)
         b = group_elements(C13)[rng.randrange(12)]
         assert rot_pow(b, n) == iterated_rot_pow(b, n)
+
+
+def test_rot_mul_and_pow_match_residue_formula():
+    for p in [p for p in primes_up_to(31) if p % 2]:
+        field = PrimeField(p)
+        for r in (1, 2):
+            c = circle(field, (0, 0), r)
+            elements = group_elements(c)
+            raw = {e: (e.point.x.value, e.point.y.value) for e in elements}
+            for a in elements:
+                for b in elements:
+                    got = rot_mul(a, b).point
+                    assert (got.x.value, got.y.value) == rot_mul_residues(p, r, raw[a], raw[b])
+                for n in range(len(elements) + 2):
+                    got = rot_pow(a, n).point
+                    assert (got.x.value, got.y.value) == rot_pow_residues(p, r, raw[a], n)
+
+
+def test_rot_pow_matches_formula_products_over_extensions():
+    f49 = QuadraticExtension(7, (1, 0))
+    f4 = QuadraticExtension(2, (1, 1))
+    for field in (f49, f4):
+        for radius in (field(1), field((0, 1)), field((1, 1))):
+            c = circle(field, (0, 0), radius.value)
+            elements = group_elements(c)
+            for b in elements:
+                b1, b2 = b.point.x, b.point.y
+                x, y = radius, field.zero
+                for n in range(len(elements) + 2):
+                    got = rot_pow(b, n).point
+                    assert (got.x, got.y) == (x, y)
+                    x, y = (x * b1 - y * b2) / radius, (x * b2 + y * b1) / radius
 
 
 def test_induced_squared_distance():
