@@ -50,8 +50,8 @@ print()
 print("Cyclic or acyclic over Q?")
 for x, y in ((2, 0), (0, 2), (Fraction(8, 5), Fraction(6, 5)), (Fraction(-6, 5), Fraction(8, 5))):
     e = rotation_element(cq, x, y)
-    rep = classify_cyclicity(e, bound=500)
-    extra = f", order {rep.order}" if rep.order else f", no identity power <= {rep.checked_bound}"
+    rep = classify_cyclicity(e)
+    extra = f", order {rep.order}" if rep.order else ""
     print(f"  {e}: {rep.verdict}{extra}")
 print()
 print("The engine behind acyclicity: clearing denominators of (8/5, 6/5)")

@@ -42,19 +42,16 @@ from .plane import (
     Circle,
     PlanePoint,
     RotationParams,
-    all_distances_vanish,
     circle,
     circle_cardinality,
     distance_from_parameters,
     enumerate_circle,
     enumerate_rational_points,
-    has_vanishing_distance_pair,
     point,
     point_from_parameter,
     rotate,
     rotation_between,
     squared_distance,
-    translate,
 )
 from .maximal import (
     CardinalityAnswer,
@@ -62,7 +59,6 @@ from .maximal import (
     PerfectDistanceReport,
     SetStatus,
     check_acp,
-    check_uniformity,
     cmaximal_cardinality,
     enumerate_emaximal_sets,
     grow_maximal_set,
@@ -75,7 +71,6 @@ from .maximal import (
     perfect_distance_report,
     perfect_distances,
     points_at_distance,
-    points_have_uniformity,
 )
 from .rotation import (
     CyclicityReport,
@@ -85,7 +80,6 @@ from .rotation import (
     gaussian_norm_square_check,
     group_order,
     identity_element,
-    identity_power_sweep,
     induced_squared_distance,
     rot_mul,
     rot_pow,

@@ -16,6 +16,7 @@ from multiprocessing import Pool
 from . import keyex, maximal, rotation, sweeps
 from .errors import CircleRingError
 from .fields import parse_descriptor
+from .keyex import _point_json
 from .plane import Circle, PlanePoint, enumerate_circle
 from .rotation import RotationElement
 
@@ -31,7 +32,7 @@ def _env_seed() -> int:
 
 def _load_config(path: str | None) -> dict:
     """key=value config lines; '#' starts a comment."""
-    defaults = {"clique_cap": 4096, "factor_bound": 10**6, "q_prefix": 64}
+    defaults = {"clique_cap": 4096}
     if not path:
         return defaults
     with open(path, encoding="utf-8") as fh:
@@ -60,10 +61,6 @@ def _parse_circle(args) -> Circle:
     field = parse_descriptor(args.field)
     center = _parse_point(field, args.center)
     return Circle(center, field.parse(args.radius))
-
-
-def _point_json(p: PlanePoint) -> dict:
-    return {"x": str(p.x), "y": str(p.y)}
 
 
 def _circle_json(c: Circle) -> dict:
@@ -238,9 +235,8 @@ def _cmd_keyex_demo(args) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="compact JSON output (the default)")
     common.add_argument("--pretty", action="store_true", help="indented JSON output")
-    common.add_argument("--config", help="key=value config file (clique_cap, factor_bound, q_prefix)")
+    common.add_argument("--config", help="key=value config file (clique_cap)")
 
     top = argparse.ArgumentParser(
         prog="circlering",

@@ -23,6 +23,7 @@ test behind every prime modulus (exact below psi_13 =
 import itertools
 import math
 import re
+from bisect import bisect_right
 from fractions import Fraction
 
 from .errors import (
@@ -136,15 +137,7 @@ def primes_up_to(limit: int) -> list[int]:
                 flags[i * i :: i] = bytearray(len(flags[i * i :: i]))
         _sieve_cache = [i for i, f in enumerate(flags) if f]
         _sieve_limit = size
-    if limit >= _sieve_limit:
-        return list(_sieve_cache)
-    # bisect by hand; the cache is small
-    out = []
-    for p in _sieve_cache:
-        if p > limit:
-            break
-        out.append(p)
-    return out
+    return _sieve_cache[: bisect_right(_sieve_cache, limit)]
 
 
 def _trial_division(n: int, bound: int) -> tuple[dict[int, int], int]:
@@ -331,9 +324,6 @@ class FieldDescriptor:
 
     def is_finite(self) -> bool:
         return self.order is not None
-
-    def prime_subfield_order(self) -> int | None:
-        return self.characteristic if self.characteristic else None
 
     def elements(self):
         """All field elements in sort-key order (finite fields only)."""

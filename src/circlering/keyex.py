@@ -13,7 +13,8 @@ of this discrete-log variant is an unproven conjecture.  Nothing here
 is constant-time.
 
 The wire format is a canonical, versioned, length-prefixed binary
-layout (magic "CRC1"); decode(encode(x)) reproduces x bit-exactly.
+layout (magic "CRC1"); decode(encode(x)) reproduces x bit-exactly, and
+decode accepts no other bytes.
 """
 
 import random
@@ -58,7 +59,7 @@ class ProtocolParams:
                 raise DegenerateBasePoint(f"base point order {order} <= 4")
             self.order = order
         else:
-            report = classify_cyclicity(base, bound=0)
+            report = classify_cyclicity(base)
             if report.verdict != "acyclic":
                 raise DegenerateBasePoint(
                     f"cyclic base point of order {report.order} over Q"
@@ -132,11 +133,11 @@ class Transcript:
         d = {
             "field": self.base.field.to_text(),
             "radius": str(self.base.circle.radius),
-            "base": _point_json(self.base),
-            "sent_a": _point_json(self.sent_a),
-            "sent_b": _point_json(self.sent_b),
-            "shared_a": _point_json(self.shared_a),
-            "shared_b": _point_json(self.shared_b),
+            "base": _point_json(self.base.point),
+            "sent_a": _point_json(self.sent_a.point),
+            "sent_b": _point_json(self.sent_b.point),
+            "shared_a": _point_json(self.shared_a.point),
+            "shared_b": _point_json(self.shared_b.point),
             "equal": self.equal,
         }
         if self.dlog_iterations is not None:
@@ -144,8 +145,8 @@ class Transcript:
         return d
 
 
-def _point_json(e: RotationElement) -> dict:
-    return {"x": str(e.point.x), "y": str(e.point.y)}
+def _point_json(p: PlanePoint) -> dict:
+    return {"x": str(p.x), "y": str(p.y)}
 
 
 def simulate_exchange(
@@ -244,6 +245,11 @@ def encode(obj) -> bytes:
     return bytes(out)
 
 
+# decode's canonicity check re-encodes through this private name, so a
+# hook on the public `encode` (a tracer, a profiler) sees only sent messages
+_encode = encode
+
+
 class _Reader:
     def __init__(self, buf: bytes):
         self.buf = buf
@@ -270,16 +276,16 @@ class _Reader:
 
 def _read_descriptor(r: _Reader):
     kind = r.byte()
-    if kind == _KIND_PRIME:
-        return PrimeField(r.uint())
-    if kind == _KIND_QUADRATIC:
-        p = r.uint()
-        f0 = r.uint()
-        f1 = r.uint()
-        return QuadraticExtension(p, (f0, f1))
     if kind == _KIND_RATIONALS:
         return Rationals()
-    raise MalformedMessage(f"unknown field kind tag {kind}")
+    if kind not in (_KIND_PRIME, _KIND_QUADRATIC):
+        raise MalformedMessage(f"unknown field kind tag {kind}")
+    p = r.uint()
+    f = (r.uint(), r.uint()) if kind == _KIND_QUADRATIC else None
+    try:
+        return PrimeField(p) if f is None else QuadraticExtension(p, f)
+    except ValueError as exc:  # composite p or reducible modulus
+        raise MalformedMessage(f"bad field descriptor: {exc}") from None
 
 
 def _read_value(r: _Reader, field):
@@ -299,7 +305,20 @@ def _read_value(r: _Reader, field):
 
 
 def decode(buf: bytes):
-    """Inverse of encode; raises MalformedMessage / VersionMismatch."""
+    """Inverse of encode; raises MalformedMessage / VersionMismatch.
+
+    Only canonical encodings are accepted: anything that parses but
+    encodes back to other bytes (an unreduced residue or fraction, a
+    negative zero, an `equal` byte outside {0, 1}, a zero-padded length
+    prefix) is rejected.
+    """
+    result = _parse(buf)
+    if _encode(result) != buf:
+        raise MalformedMessage("non-canonical encoding")
+    return result
+
+
+def _parse(buf: bytes):
     r = _Reader(buf)
     if r.take(4) != MAGIC:
         raise MalformedMessage("bad magic")

@@ -141,6 +141,10 @@ class CardinalityAnswer:
     witness: tuple | None = None
 
 
+# most circle points the "at most two" witness scan of cmaximal_cardinality visits
+_WITNESS_CAP = 10_000
+
+
 def _rational(p: PlanePoint, q: PlanePoint) -> bool:
     """The rational-pair relation: the squared distance is a prime-subfield square."""
     return squared_distance(p, q).is_prime_subfield_square()
@@ -264,6 +268,18 @@ def _antipodal_witness(c: Circle):
     return _antipode_triangle(c, other) if other is not None else _search_antipodal_triangle(c)
 
 
+def _antipodal_perfect(c: Circle) -> bool:
+    """Whether some rational triangle has a 4r^2 side, without building it."""
+    return _first_other_perfect(c) is not None or _search_antipodal_triangle(c) is not None
+
+
+def _witness(c: Circle, q: FieldElement):
+    """The witness triangle of a perfect distance q (None when 4r^2 has none)."""
+    if q == c.field.from_int(4) * (c.radius * c.radius):
+        return _antipodal_witness(c)
+    return _witness_triangle(c, q)
+
+
 def _q_of(t: FieldElement, r2: FieldElement) -> FieldElement | None:
     """The perfect distance (4tr^2/(t^2+r^2))^2 named by t; None when t^2 = -r^2."""
     denom = t * t + r2
@@ -273,21 +289,19 @@ def _q_of(t: FieldElement, r2: FieldElement) -> FieldElement | None:
     return val * val
 
 
-def iter_perfect_distances(c: Circle):
-    """Yield (q, witness_triangle) for the perfect distances of a circle.
+def _perfect_values(c: Circle):
+    """The perfect distances of a circle in stream order, without witnesses.
 
     Every q != 4r^2 arises as (4tr^2/(t^2+r^2))^2 for a prime-subfield
     parameter t; the remaining candidate 4r^2 is included only when a
-    rational triangle actually realizes it.  Finite fields yield the
-    parametrized values in ascending t and 4r^2 last; over Q the stream
-    is infinite, starts with 4r^2, and then walks t through the
-    positive rationals.
+    rational triangle realizes it.  Finite fields give the parametrized
+    values in ascending t and 4r^2 last; over Q the stream is infinite,
+    starts with 4r^2, and then walks t through the positive rationals.
     """
     field = c.field
     if field.characteristic == 2:
         raise WrongFieldKind("perfect distances are defined for characteristic != 2")
-    r = c.radius
-    r2 = r * r
+    r2 = c.radius * c.radius
     if not r2.in_prime_subfield():
         raise RadiusSquaredNotInPrimeField(
             "no circular point set of size >= 3 exists when r^2 is outside P(F)"
@@ -301,22 +315,31 @@ def iter_perfect_distances(c: Circle):
             if q is None or q == four_r2 or q in seen:
                 continue
             seen.add(q)
-            yield q, _witness_triangle(c, q)
-        if four_r2.is_prime_subfield_square():
-            triangle = _antipodal_witness(c)
-            if triangle is not None:
-                yield four_r2, triangle
+            yield q
+        if four_r2.is_prime_subfield_square() and _antipodal_perfect(c):
+            yield four_r2
         return
 
     # over Q: 4r^2 is always perfect (r is rational and other perfect
     # distances exist for every parameter t)
-    yield four_r2, _antipodal_witness(c)
+    yield four_r2
     seen = {four_r2}
     for t in _positive_rationals():
         q = _q_of(field(t), r2)
         if q is not None and q not in seen:
             seen.add(q)
-            yield q, _witness_triangle(c, q)
+            yield q
+
+
+def iter_perfect_distances(c: Circle):
+    """Yield (q, witness_triangle) for the perfect distances of a circle.
+
+    Finite fields yield the parametrized values in ascending parameter
+    and 4r^2 last, when a rational triangle realizes it; over Q the
+    stream is infinite and starts with 4r^2.
+    """
+    for q in _perfect_values(c):
+        yield q, _witness(c, q)
 
 
 def perfect_distances(c: Circle) -> dict:
@@ -363,11 +386,7 @@ def _is_perfect(c: Circle, q: FieldElement, acp: bool) -> bool:
     r2 = c.radius * c.radius
     if q.is_zero() or not acp or not r2.in_prime_subfield():
         return False
-    if q != c.field.from_int(4) * r2:
-        return True
-    if _first_other_perfect(c) is not None:
-        return True
-    return _search_antipodal_triangle(c) is not None
+    return q != c.field.from_int(4) * r2 or _antipodal_perfect(c)
 
 
 def perfect_distance_report(c: Circle, q) -> PerfectDistanceReport:
@@ -379,12 +398,7 @@ def perfect_distance_report(c: Circle, q) -> PerfectDistanceReport:
     rational = q.is_prime_subfield_square()
     acp = check_acp(c, q)
     perfect = _is_perfect(c, q, acp)
-    witness = None
-    if perfect:
-        if q != field.from_int(4) * (c.radius * c.radius):
-            witness = _witness_triangle(c, q)
-        else:
-            witness = _antipodal_witness(c)
+    witness = _witness(c, q) if perfect else None
     return PerfectDistanceReport(c, q, rational, acp, perfect, witness)
 
 
@@ -443,7 +457,7 @@ def iter_maximal_points(c: Circle, seed: PlanePoint):
     c.require(seed)
     yield seed
     emitted = {seed}
-    for q, _ in iter_perfect_distances(c):
+    for q in _perfect_values(c):
         for p in points_at_distance(c, seed, q):
             if p not in emitted:
                 emitted.add(p)
@@ -472,36 +486,32 @@ def grow_maximal_set(c: Circle, seed: PlanePoint, prefix: int = 64) -> CircularP
         stream = iter_maximal_points(c, seed)
         pts = [next(stream) for _ in range(max(prefix, 1))]
         return CircularPointSet(c, pts, SetStatus.C_MAXIMAL, is_prefix=True)
-    pd = perfect_distances(c) if (c.radius * c.radius).in_prime_subfield() else {}
     pts = [seed]
-    for q in pd:
-        pts.extend(points_at_distance(c, seed, q))
-    if not pd:
+    if (c.radius * c.radius).in_prime_subfield():
+        for q in _perfect_values(c):
+            pts.extend(points_at_distance(c, seed, q))
+    if len(pts) == 1:  # no perfect distance
         partner = _rational_partner(c, seed)
         if partner is not None:
             pts.append(partner)
     return CircularPointSet(c, pts, SetStatus.C_MAXIMAL)
 
 
-def rationality_adjacency(points: list[PlanePoint]) -> list[int]:
-    """Bitmask adjacency of the rationality graph on the given points."""
+def _rationality_adjacency(field: FieldDescriptor, points: list[PlanePoint]) -> list[int]:
+    """Bitmask adjacency of the rationality graph on points of a finite field.
+
+    Compares raw squared-distance residues against the prime-subfield
+    squares; in characteristic 2 every distance is 0, a square.
+    """
+    squares = prime_square_values(field.characteristic)
+    if not isinstance(field, PrimeField):
+        squares = {(s, 0) for s in squares}
     n = len(points)
     adj = [0] * n
-    if n == 0:
-        return adj
-    field = points[0].field
-    if field.is_finite() and field.characteristic != 2:
-        # fast path: compare raw residues against the prime-subfield squares
-        squares = prime_square_values(field.characteristic)
-        if not isinstance(field, PrimeField):
-            squares = {(s, 0) for s in squares}
-        rational = lambda p, q: squared_distance(p, q).value in squares
-    else:
-        rational = _rational
     for i in range(n):
         pi = points[i]
         for j in range(i + 1, n):
-            if rational(pi, points[j]):
+            if squared_distance(pi, points[j]).value in squares:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
     return adj
@@ -537,7 +547,7 @@ def enumerate_emaximal_sets(c: Circle, seed: PlanePoint, cap: int = 4096):
         raise CircleTooLarge(f"{len(pts)} circle points exceed the cap {cap}")
     c.require(seed)
     index = {p: i for i, p in enumerate(pts)}
-    adj = rationality_adjacency(pts)
+    adj = _rationality_adjacency(c.field, pts)
     s = index[seed]
     found: list[int] = []
     _bron_kerbosch(adj, 1 << s, adj[s], 0, found)
@@ -557,7 +567,7 @@ def enumerate_emaximal_sets(c: Circle, seed: PlanePoint, cap: int = 4096):
     ]
 
 
-def cmaximal_cardinality(field: FieldDescriptor, r, witness_cap: int = 10_000) -> CardinalityAnswer:
+def cmaximal_cardinality(field: FieldDescriptor, r) -> CardinalityAnswer:
     """Cardinality of c-maximal circular point sets for this field and radius.
 
     Implements the closed-form answer: |F| in characteristic 2; 2 in
@@ -566,7 +576,7 @@ def cmaximal_cardinality(field: FieldDescriptor, r, witness_cap: int = 10_000) -
     whether -1 is a square in the prime subfield and by where r sits;
     countably infinite over Q.  "At most two" answers carry a witness
     pair through the marker point (0, r) when an exhaustive scan (up to
-    witness_cap circle points) finds one.
+    _WITNESS_CAP circle points) finds one.
     """
     r = field(r)
     if r.is_zero():
@@ -579,7 +589,7 @@ def cmaximal_cardinality(field: FieldDescriptor, r, witness_cap: int = 10_000) -
     r2 = r * r
     if not r2.in_prime_subfield():
         witness = None
-        if field.order + 1 <= witness_cap:
+        if field.order + 1 <= _WITNESS_CAP:
             c = Circle(PlanePoint(field.zero, field.zero), r)
             marker = point_from_parameter(c, AT_INFINITY)
             partner = _rational_partner(c, marker)
@@ -594,29 +604,3 @@ def cmaximal_cardinality(field: FieldDescriptor, r, witness_cap: int = 10_000) -
     else:
         n = (char + 1) // 2 if root_of_minus_one else (char - 1) // 2
     return CardinalityAnswer("finite", n)
-
-
-def distance_profile(points: list[PlanePoint], origin_point: PlanePoint):
-    """Multiset of squared distances from one point to the rest."""
-    values = [
-        squared_distance(origin_point, p).sort_key()
-        for p in points
-        if p != origin_point
-    ]
-    return tuple(sorted(values))
-
-
-def points_have_uniformity(points: list[PlanePoint]) -> bool:
-    """Whether every point of the finite curve sees one distance profile."""
-    if not points:
-        return True
-    first = distance_profile(points, points[0])
-    return all(distance_profile(points, p) == first for p in points[1:])
-
-
-def check_uniformity(c: Circle, cap: int = 4096) -> bool:
-    """Exhaustive uniformity check for a finite-field circle (test oracle)."""
-    pts = enumerate_circle(c)
-    if len(pts) > cap:
-        raise CircleTooLarge(f"{len(pts)} circle points exceed the cap {cap}")
-    return points_have_uniformity(pts)

@@ -7,6 +7,7 @@ circle points with its cardinality formula.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 
 from .errors import (
     DescriptorMismatch,
@@ -112,11 +113,6 @@ def squared_distance(p: PlanePoint, q: PlanePoint) -> FieldElement:
     dx = p.x - q.x
     dy = p.y - q.y
     return dx * dx + dy * dy
-
-
-def translate(p: PlanePoint, direction: PlanePoint) -> PlanePoint:
-    """Shift p by the direction vector."""
-    return p + direction
 
 
 @dataclass(frozen=True)
@@ -267,59 +263,13 @@ def _positive_rationals():
         q = 1 / (2 * (q.numerator // q.denominator) - q + 1)
 
 
-def enumerate_rational_points(c: Circle, generator: str = "coset1"):
+def enumerate_rational_points(c: Circle):
     """Lazy stream of distinct points on a circle over Q.
 
-    generator="coset1" (default) walks the family t_n = (n - 1/n)/2 for
-    n = 1, 2, 3, ...; every t_n satisfies t_n^2 + 1 = ((n + 1/n)/2)^2, a
-    rational square, so the streamed points all lie in one rationality
-    class.  generator="all" sweeps every parameter value (marker, 0,
-    then +/-q over the positive rationals) and therefore reaches every
-    point of the circle.
+    Walks the family t_n = (n - 1/n)/2 for n = 1, 2, 3, ...; every t_n
+    satisfies t_n^2 + 1 = ((n + 1/n)/2)^2, a rational square, so the
+    streamed points all lie in one rationality class.
     """
     if not isinstance(c.field, Rationals):
         raise DescriptorMismatch("enumerate_rational_points needs a circle over Q")
-    if generator == "coset1":
-        def stream():
-            n = 0
-            while True:
-                n += 1
-                t = Fraction(n * n - 1, 2 * n)
-                yield point_from_parameter(c, t)
-        return stream()
-    if generator == "all":
-        def stream():
-            yield point_from_parameter(c, AT_INFINITY)
-            yield point_from_parameter(c, 0)
-            for q in _positive_rationals():
-                yield point_from_parameter(c, q)
-                yield point_from_parameter(c, -q)
-        return stream()
-    raise ValueError(f"unknown generator {generator!r}")
-
-
-def has_vanishing_distance_pair(c: Circle) -> bool:
-    """Whether two *different* circle points sit at squared distance 0.
-
-    Exhaustive scan, exposed as a test oracle: the answer is False for
-    every finite field of odd characteristic and True in characteristic
-    2, where all distances on a circle vanish.
-    """
-    pts = enumerate_circle(c)
-    zero = c.field.zero
-    for i, p in enumerate(pts):
-        for q in pts[i + 1 :]:
-            if squared_distance(p, q) == zero:
-                return True
-    return False
-
-
-def all_distances_vanish(c: Circle) -> bool:
-    """Whether every pairwise squared distance on the circle is 0."""
-    pts = enumerate_circle(c)
-    zero = c.field.zero
-    for i, p in enumerate(pts):
-        for q in pts[i + 1 :]:
-            if squared_distance(p, q) != zero:
-                return False
-    return True
+    return (point_from_parameter(c, Fraction(n * n - 1, 2 * n)) for n in count(1))

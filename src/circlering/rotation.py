@@ -206,65 +206,25 @@ def _coprime_integer_form(a: RotationElement) -> tuple[int, int]:
     return ix // g, iy // g
 
 
-def identity_power_sweep(a: RotationElement, bound: int) -> int | None:
-    """Smallest n in [1, bound] with a^n = identity, or None.
-
-    Pure falsification harness: over Q it iterates the integer Gaussian
-    form (u + iv) <- (u + iv)(x + iy) and compares against D^n, so no
-    fraction reduction happens along the way.
-    """
-    if a.field.is_finite():
-        acc = a
-        for n in range(1, bound + 1):
-            if acc.is_identity():
-                return n
-            acc = rot_mul(acc, a)
-        return None
-    r = a.circle.radius
-    w1 = Fraction(a.point.x.value) / Fraction(r.value)
-    w2 = Fraction(a.point.y.value) / Fraction(r.value)
-    d = math.lcm(w1.denominator, w2.denominator)
-    x, y = w1.numerator * (d // w1.denominator), w2.numerator * (d // w2.denominator)
-    u, v = 1, 0
-    dn = 1
-    for n in range(1, bound + 1):
-        u, v = u * x - v * y, u * y + v * x
-        dn *= d
-        if v == 0 and u == dn:
-            return n
-    return None
-
-
 @dataclass(frozen=True)
 class CyclicityReport:
     """Verdict on the subgroup generated by one element."""
 
     element: RotationElement
-    verdict: str  # "cyclic", "acyclic", or "undecided"
+    verdict: str  # "cyclic" or "acyclic"
     order: int | None = None
-    checked_bound: int = 0
 
 
-def classify_cyclicity(
-    a: RotationElement, bound: int = 10_000, use_theorem: bool = True
-) -> CyclicityReport:
+def classify_cyclicity(a: RotationElement) -> CyclicityReport:
     """Decide whether `a` generates a finite or infinite subgroup.
 
     Finite fields: the exact order is computed, verdict Cyclic(order).
     Over Q the four axis points (r,0), (-r,0), (0,+-r) are cyclic with
     orders 1, 2, 4, 4; every other point is acyclic because its coprime
-    integer form has a square Gaussian norm > 1.  The theorem decides;
-    `bound` only sizes a redundant iteration sweep confirming that no
-    power up to it hits the identity.  With use_theorem=False the sweep
-    is all there is, and a fruitless one reports "undecided".
+    integer form has a square Gaussian norm > 1, which is checked.
     """
     if a.field.is_finite():
         return CyclicityReport(a, "cyclic", order=element_order(a))
-    if not use_theorem:
-        hit = identity_power_sweep(a, bound)
-        if hit is not None:
-            return CyclicityReport(a, "cyclic", order=hit, checked_bound=bound)
-        return CyclicityReport(a, "undecided", checked_bound=bound)
     r = a.circle.radius
     x, y = a.point.x, a.point.y
     if y.is_zero():
@@ -274,6 +234,4 @@ def classify_cyclicity(
     ix, iy = _coprime_integer_form(a)
     if not gaussian_norm_square_check(ix, iy):
         raise AssertionError(f"norm of coprime form {(ix, iy)} is not a square > 1")
-    if bound > 0 and identity_power_sweep(a, bound) is not None:
-        raise AssertionError(f"acyclic element reached the identity within {bound} powers")
-    return CyclicityReport(a, "acyclic", checked_bound=bound)
+    return CyclicityReport(a, "acyclic")

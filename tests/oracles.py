@@ -1,7 +1,19 @@
-"""Independent brute-force oracles the tests check the library against.
+"""Brute-force oracles the tests check the library against.
 
-Everything here works on raw residues with its own arithmetic, so a bug
-in the library cannot hide inside its oracle.
+Two kinds live here:
+
+* Independent oracles work on raw residues and Fractions with their own
+  arithmetic, so a bug in the library cannot hide inside them:
+  `squares_of`, `brute_circle_prime`, `rationality_graph_prime`,
+  `connected_components`, `perfect_distances_by_triangles`,
+  `rot_mul_residues`, `rot_pow_residues`, `fraction_is_square`, and the
+  Gaussian-integer branch of `identity_power_sweep` over Q.
+* Exhaustive scans that drive the library's own field elements, points
+  and products, checking a global property the library decides by a
+  theorem or a closed form: `brute_circle_field`, `iterated_rot_pow`,
+  `has_vanishing_distance_pair`, `all_distances_vanish`,
+  `distance_profile`, `points_have_uniformity`, `check_uniformity`, and
+  the finite-field branch of `identity_power_sweep`.
 """
 
 import math
@@ -131,3 +143,95 @@ def fraction_is_square(q: Fraction) -> bool:
         return False
     n, d = q.numerator, q.denominator
     return math.isqrt(n) ** 2 == n and math.isqrt(d) ** 2 == d
+
+
+def has_vanishing_distance_pair(c) -> bool:
+    """Whether two *different* circle points sit at squared distance 0.
+
+    False for every finite field of odd characteristic, True in
+    characteristic 2, where all distances on a circle vanish.
+    """
+    from circlering.plane import enumerate_circle, squared_distance
+
+    pts = enumerate_circle(c)
+    zero = c.field.zero
+    for i, p in enumerate(pts):
+        for q in pts[i + 1 :]:
+            if squared_distance(p, q) == zero:
+                return True
+    return False
+
+
+def all_distances_vanish(c) -> bool:
+    """Whether every pairwise squared distance on the circle is 0."""
+    from circlering.plane import enumerate_circle, squared_distance
+
+    pts = enumerate_circle(c)
+    zero = c.field.zero
+    for i, p in enumerate(pts):
+        for q in pts[i + 1 :]:
+            if squared_distance(p, q) != zero:
+                return False
+    return True
+
+
+def distance_profile(points: list, origin_point) -> tuple:
+    """Multiset of squared distances from one point to the rest."""
+    from circlering.plane import squared_distance
+
+    values = [
+        squared_distance(origin_point, p).sort_key()
+        for p in points
+        if p != origin_point
+    ]
+    return tuple(sorted(values))
+
+
+def points_have_uniformity(points: list) -> bool:
+    """Whether every point of the finite curve sees one distance profile."""
+    if not points:
+        return True
+    first = distance_profile(points, points[0])
+    return all(distance_profile(points, p) == first for p in points[1:])
+
+
+def check_uniformity(c, cap: int = 4096) -> bool:
+    """Exhaustive uniformity check for a finite-field circle."""
+    from circlering.errors import CircleTooLarge
+    from circlering.plane import enumerate_circle
+
+    pts = enumerate_circle(c)
+    if len(pts) > cap:
+        raise CircleTooLarge(f"{len(pts)} circle points exceed the cap {cap}")
+    return points_have_uniformity(pts)
+
+
+def identity_power_sweep(a, bound: int) -> int | None:
+    """Smallest n in [1, bound] with a^n = identity, or None.
+
+    Over Q it iterates the integer Gaussian form (u + iv) <- (u + iv)(x + iy)
+    and compares against D^n, so no fraction reduction happens along
+    the way; over finite fields it multiplies with the library's rot_mul.
+    """
+    if a.field.is_finite():
+        from circlering.rotation import rot_mul
+
+        acc = a
+        for n in range(1, bound + 1):
+            if acc.is_identity():
+                return n
+            acc = rot_mul(acc, a)
+        return None
+    r = a.circle.radius
+    w1 = Fraction(a.point.x.value) / Fraction(r.value)
+    w2 = Fraction(a.point.y.value) / Fraction(r.value)
+    d = math.lcm(w1.denominator, w2.denominator)
+    x, y = w1.numerator * (d // w1.denominator), w2.numerator * (d // w2.denominator)
+    u, v = 1, 0
+    dn = 1
+    for n in range(1, bound + 1):
+        u, v = u * x - v * y, u * y + v * x
+        dn *= d
+        if v == 0 and u == dn:
+            return n
+    return None

@@ -13,7 +13,7 @@ import circlering as cr
 from circlering import sweeps
 from circlering.cli import main as cli_main
 
-from oracles import perfect_distances_by_triangles
+from oracles import identity_power_sweep, perfect_distances_by_triangles
 
 SEED = 20260810
 
@@ -222,9 +222,9 @@ def test_08_rational_exactness():
         induced = cr.induced_squared_distance(b2)
         assert induced == q(Fraction(144, 25))
         assert induced.sqrt() == q(Fraction(12, 5))
-        report = cr.classify_cyclicity(b, bound=10_000)
+        report = cr.classify_cyclicity(b)
         assert report.verdict == "acyclic"
-        assert cr.identity_power_sweep(b, 10_000) is None
+        assert identity_power_sweep(b, 10_000) is None
 
 
 def test_09_key_exchange_and_serialization():

@@ -132,7 +132,7 @@ def test_usage_errors(capsys):
 
 def test_config_file(capsys, tmp_path):
     cfg = tmp_path / "rc.conf"
-    cfg.write_text("# comment\nclique_cap = 16\nfactor_bound=1000000\nq_prefix=8\n")
+    cfg.write_text("# comment\nclique_cap = 16\n")
     code, out, _ = run_cli(capsys, "circle", "cliques", "--config", str(cfg),
                            "--field", "Fp:7", "--center", "0,0", "--radius", "1",
                            "--seed-point", "0,1")
@@ -144,6 +144,12 @@ def test_config_file(capsys, tmp_path):
                            "--field", "Fp:7", "--center", "0,0", "--radius", "1",
                            "--seed-point", "0,1")
     assert code == 2 and "CircleTooLarge" in err
+    # keys the CLI does not read are rejected, not ignored
+    cfg.write_text("factor_bound=1000000\n")
+    code, _, err = run_cli(capsys, "circle", "cliques", "--config", str(cfg),
+                           "--field", "Fp:7", "--center", "0,0", "--radius", "1",
+                           "--seed-point", "0,1")
+    assert code == 2 and "factor_bound" in err
 
 
 def test_pretty_mode(capsys):
@@ -153,9 +159,12 @@ def test_pretty_mode(capsys):
     assert json.loads(out)["perfect"] == ["2", "4"]
     doc = json.loads(out)
     assert all("witness_triangle" in d for d in doc["details"])
-    # --json names the default compact mode and is accepted anywhere
-    code, out, _ = run_cli(capsys, "perfect", "--field", "Fp:7", "--radius", "1", "--json")
+    code, out, _ = run_cli(capsys, "perfect", "--field", "Fp:7", "--radius", "1")
     assert code == 0 and out.count("\n") == 1
+    # compact output is the only other mode; there is no --json flag
+    with pytest.raises(SystemExit) as exc:
+        main(["perfect", "--field", "Fp:7", "--radius", "1", "--json"])
+    assert exc.value.code == 2
 
 
 def test_keyex_demo_over_q(capsys):

@@ -4,6 +4,7 @@ import pytest
 
 from circlering.errors import (
     CircleMismatch,
+    CircleRingError,
     DegenerateBasePoint,
     MalformedMessage,
     VersionMismatch,
@@ -144,3 +145,54 @@ def test_wire_errors():
     bad_version = buf[:4] + bytes([99]) + buf[5:]
     with pytest.raises(VersionMismatch):
         decode(bad_version)
+    # non-canonical encodings parse but would re-encode to other bytes
+    element = b"CRC1\x01\x01"
+    non_canonical = [
+        element + b"\x00" + _uint(101) + _uint(106),             # 106 as an F_101 residue
+        element + b"\x02\x00" + _uint(2) + _uint(4),            # 2/4 over Q
+        element + b"\x02\x01" + _uint(0) + _uint(1),            # -0 over Q
+        element + b"\x00" + _uint(13) + b"\x00\x00\x00\x02\x00\x05",  # zero-padded length
+        encode(simulate_exchange(ProtocolParams(BASE13), 9, 10))[:-1] + b"\x02",  # equal = 2
+    ]
+    for buf in non_canonical:
+        with pytest.raises(MalformedMessage):
+            decode(buf)
+    # a composite p or a reducible modulus is a malformed message, not a bare ValueError
+    for descriptor in (b"\x00" + _uint(15), b"\x01" + _uint(7) + _uint(6) + _uint(0)):
+        with pytest.raises(MalformedMessage):
+            decode(element + descriptor + _uint(1))
+
+
+def _uint(n: int) -> bytes:
+    body = n.to_bytes((n.bit_length() + 7) // 8, "big")
+    return len(body).to_bytes(4, "big") + body
+
+
+def test_wire_mutations_roundtrip_or_raise(rng):
+    params = ProtocolParams(BASE13)
+    f49 = QuadraticExtension(7, (1, 0))
+    valid = [
+        encode(F13(5)),
+        encode(f49((3, 4))),
+        encode(Q(Fraction(-7, 12))),
+        encode(BASE13),
+        encode(BASEQ),
+        encode(simulate_exchange(params, 9, 10)),
+    ]
+    for buf in valid:
+        for _ in range(300):
+            mutated = bytearray(buf)
+            i = rng.randrange(len(mutated))
+            action = rng.randrange(3)
+            if action == 0:
+                mutated[i] = rng.randrange(256)
+            elif action == 1:
+                mutated.insert(i, rng.randrange(256))
+            else:
+                del mutated[i]
+            mutated = bytes(mutated)
+            try:
+                back = decode(mutated)
+            except CircleRingError:
+                continue
+            assert encode(back) == mutated

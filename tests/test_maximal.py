@@ -18,7 +18,6 @@ from circlering.maximal import (
     CircularPointSet,
     SetStatus,
     check_acp,
-    check_uniformity,
     cmaximal_cardinality,
     enumerate_emaximal_sets,
     grow_maximal_set,
@@ -31,7 +30,6 @@ from circlering.maximal import (
     perfect_distance_report,
     perfect_distances,
     points_at_distance,
-    points_have_uniformity,
 )
 from circlering.plane import (
     AT_INFINITY,
@@ -46,8 +44,10 @@ from circlering.plane import (
 
 from oracles import (
     brute_circle_prime,
+    check_uniformity,
     connected_components,
     perfect_distances_by_triangles,
+    points_have_uniformity,
     rationality_graph_prime,
 )
 
@@ -294,6 +294,13 @@ def test_enumerate_emaximal_sets():
     assert [len(s) for s in sets7] == [4]
     sets3 = enumerate_emaximal_sets(circle(F3, (0, 0), 1), point(F3, 0, 1))
     assert [len(s) for s in sets3] == [2]
+    # characteristic 2: every distance is 0, a square, so the one set is the circle
+    f4 = QuadraticExtension(2, (1, 1))
+    for c in (circle(PrimeField(2), (0, 0), 1), Circle(PlanePoint(f4.zero, f4.zero), f4.one)):
+        pts = enumerate_circle(c)
+        sets2 = enumerate_emaximal_sets(c, pts[0])
+        assert [s.points for s in sets2] == [tuple(pts)]
+        assert sets2[0].status is SetStatus.C_MAXIMAL
 
 
 def test_cmaximal_cardinality_cases():

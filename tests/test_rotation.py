@@ -13,7 +13,6 @@ from circlering.rotation import (
     gaussian_norm_square_check,
     group_order,
     identity_element,
-    identity_power_sweep,
     induced_squared_distance,
     rot_mul,
     rot_pow,
@@ -21,7 +20,7 @@ from circlering.rotation import (
     rotation_element,
 )
 
-from oracles import iterated_rot_pow, rot_mul_residues, rot_pow_residues
+from oracles import identity_power_sweep, iterated_rot_pow, rot_mul_residues, rot_pow_residues
 
 F7 = PrimeField(7)
 F13 = PrimeField(13)
@@ -220,20 +219,33 @@ def test_group_order_and_element_orders():
 
 
 def test_classify_cyclicity():
-    rep = classify_cyclicity(rotation_element(CQ2, 0, 2), bound=64)
+    rep = classify_cyclicity(rotation_element(CQ2, 0, 2))
     assert rep.verdict == "cyclic" and rep.order == 4
     assert classify_cyclicity(rotation_element(CQ2, 2, 0)).order == 1
     assert classify_cyclicity(rotation_element(CQ2, -2, 0)).order == 2
-    rep = classify_cyclicity(rotation_element(CQ2, Fraction(8, 5), Fraction(6, 5)), bound=2000)
-    assert rep.verdict == "acyclic" and rep.checked_bound == 2000
+    rep = classify_cyclicity(rotation_element(CQ2, Fraction(8, 5), Fraction(6, 5)))
+    assert rep.verdict == "acyclic" and rep.order is None
     rep13 = classify_cyclicity(rotation_element(C13, 2, 6))
     assert rep13.verdict == "cyclic" and rep13.order == 12
-    # sweep-only mode cannot settle an acyclic element
-    a = rotation_element(CQ2, Fraction(8, 5), Fraction(6, 5))
-    rep = classify_cyclicity(a, bound=50, use_theorem=False)
-    assert rep.verdict == "undecided" and rep.checked_bound == 50
-    rep = classify_cyclicity(rotation_element(CQ2, 0, 2), bound=50, use_theorem=False)
-    assert rep.verdict == "cyclic" and rep.order == 4
+
+
+def test_classify_cyclicity_matches_power_sweep():
+    # the theorem's verdict and order against a search for the first identity power
+    for p in (5, 7, 13, 29):
+        field = PrimeField(p)
+        for r in (1, 2):
+            c = circle(field, (0, 0), r)
+            n = group_order(c)
+            for e in group_elements(c):
+                rep = classify_cyclicity(e)
+                assert rep.verdict == "cyclic" and rep.order == identity_power_sweep(e, n)
+    for x, y in ((2, 0), (-2, 0), (0, 2), (0, -2),
+                 (Fraction(8, 5), Fraction(6, 5)), (Fraction(-6, 5), Fraction(8, 5))):
+        e = rotation_element(CQ2, x, y)
+        rep = classify_cyclicity(e)
+        hit = identity_power_sweep(e, 2000)
+        assert rep.verdict == ("acyclic" if hit is None else "cyclic")
+        assert rep.order == hit
 
 
 def test_identity_power_sweep():
