@@ -140,6 +140,9 @@ def primes_up_to(limit: int) -> list[int]:
     return _sieve_cache[: bisect_right(_sieve_cache, limit)]
 
 
+_TRIAL_BOUND = 10**6  # default bound on trial-division primes
+
+
 def _trial_division(n: int, bound: int) -> tuple[dict[int, int], int]:
     """The primes p <= bound dividing n, with exponents, and the cofactor left.
 
@@ -177,7 +180,7 @@ def _squarefree_part_int(n: int, bound: int) -> int:
     )
 
 
-def squarefree_part(q, bound: int = 10**6) -> int:
+def squarefree_part(q, bound: int = _TRIAL_BOUND) -> int:
     """Coset representative of a nonzero rational in Q*/squares.
 
     Returns the signed product of the primes dividing q to an odd power,

@@ -32,9 +32,10 @@ from .fields import FieldElement, PrimeField, QuadraticExtension, Rationals
 from .plane import Circle, PlanePoint
 from .rotation import (
     RotationElement,
+    _raw,
+    _raw_product,
     classify_cyclicity,
     element_order,
-    rot_mul,
     rot_pow,
 )
 
@@ -108,12 +109,21 @@ def derive_shared(me: PartyState, peer_sent: RotationElement) -> RotationElement
 
 
 def brute_force_dlog(base: RotationElement, target: RotationElement, cap: int) -> int | None:
-    """Iterations of repeated multiplication needed to hit `target` (<= cap)."""
-    acc = base
+    """Iterations of repeated multiplication needed to hit `target` (<= cap).
+
+    None when no power base^k with k <= cap equals the target, and so
+    always for a target on another circle.  The products are taken on
+    raw coordinate pairs.
+    """
+    if target.circle != base.circle:
+        return None
+    product = _raw_product(base.circle)
+    step, goal = _raw(base.point), _raw(target.point)
+    acc = step
     for k in range(1, cap + 1):
-        if acc == target:
+        if acc == goal:
             return k
-        acc = rot_mul(acc, base)
+        acc = product(acc, step)
     return None
 
 

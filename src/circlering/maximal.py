@@ -38,6 +38,7 @@ from .plane import (
     Circle,
     PlanePoint,
     PointAtInfinityMarker,
+    RotationParams,
     _positive_rationals,
     enumerate_circle,
     point_from_parameter,
@@ -411,9 +412,22 @@ def points_at_distance(c: Circle, base: PlanePoint, q) -> list[PlanePoint]:
     undone.  Raises NotPerfect when q lacks the algebraic certificate
     (nonzero, rational, a.c.p.) the construction needs.
     """
-    field = c.field
-    q = field(q)
+    q = c.field(q)
     c.require(base)
+    return _points_at_distance(c, base, _rotation_from_anchor(c, base), q)
+
+
+def _rotation_from_anchor(c: Circle, base: PlanePoint) -> RotationParams:
+    """The rotation about the origin carrying (0, -r) to base - center."""
+    field = c.field
+    origin_circle = Circle(PlanePoint(field.zero, field.zero), c.radius)
+    anchor = PlanePoint(field.zero, -c.radius)
+    return rotation_between(anchor, base - c.center, origin_circle)
+
+
+def _points_at_distance(c: Circle, base: PlanePoint, rho: RotationParams, q: FieldElement):
+    """points_at_distance for a base already on `c`, with its anchor rotation rho."""
+    field = c.field
     if q.is_zero() or not check_acp(c, q):
         raise NotPerfect(f"{q} is not realizable as a perfect distance on {c}")
     r = c.radius
@@ -421,9 +435,6 @@ def points_at_distance(c: Circle, base: PlanePoint, q) -> list[PlanePoint]:
     four = field.from_int(4)
     alpha = q.prime_sqrt()
     beta = (field.one - q / (four * r * r)).prime_sqrt()
-    origin_circle = Circle(PlanePoint(field.zero, field.zero), r)
-    anchor = PlanePoint(field.zero, -r)
-    rho = rotation_between(anchor, base - c.center, origin_circle)
     second = q / (two * r) - r
     raw = {PlanePoint(alpha * beta, second), PlanePoint(-(alpha * beta), second)}
     out = sorted((rotate(p, rho) + c.center for p in raw), key=PlanePoint.sort_key)
@@ -457,8 +468,9 @@ def iter_maximal_points(c: Circle, seed: PlanePoint):
     c.require(seed)
     yield seed
     emitted = {seed}
+    rho = _rotation_from_anchor(c, seed)
     for q in _perfect_values(c):
-        for p in points_at_distance(c, seed, q):
+        for p in _points_at_distance(c, seed, rho, q):
             if p not in emitted:
                 emitted.add(p)
                 yield p
@@ -488,8 +500,9 @@ def grow_maximal_set(c: Circle, seed: PlanePoint, prefix: int = 64) -> CircularP
         return CircularPointSet(c, pts, SetStatus.C_MAXIMAL, is_prefix=True)
     pts = [seed]
     if (c.radius * c.radius).in_prime_subfield():
+        rho = _rotation_from_anchor(c, seed)
         for q in _perfect_values(c):
-            pts.extend(points_at_distance(c, seed, q))
+            pts.extend(_points_at_distance(c, seed, rho, q))
     if len(pts) == 1:  # no perfect distance
         partner = _rational_partner(c, seed)
         if partner is not None:

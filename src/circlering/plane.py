@@ -88,9 +88,15 @@ class Circle:
         return self.radius.field
 
     def contains(self, p: PlanePoint) -> bool:
-        dx = p.x - self.center.x
-        dy = p.y - self.center.y
-        return dx * dx + dy * dy == self.radius * self.radius
+        """Whether (x - m1)^2 + (y - m2)^2 = r^2, compared on raw field values."""
+        field = self.field
+        if p.field != field:
+            raise DescriptorMismatch(f"point over {p.field} tested against a circle over {field}")
+        mul, sub = field._mul, field._sub
+        dx = sub(p.x.value, self.center.x.value)
+        dy = sub(p.y.value, self.center.y.value)
+        r = self.radius.value
+        return field._add(mul(dx, dx), mul(dy, dy)) == mul(r, r)
 
     def require(self, p: PlanePoint) -> None:
         if not self.contains(p):

@@ -6,19 +6,32 @@ Points of C((0,0), r) form an abelian group under
 
 with identity (r, 0) and inverse (a1, -a2): the product of the norm-1
 elements (a1 + i a2)/r of F[i].  This module implements the product,
-powers (square-and-multiply over `rot_mul`), square roots (tied to
-perfect distances over prime fields), element orders, and the
-cyclic/acyclic classification of rational points via Gaussian integers.
-Every element it returns is built by `RotationElement`, which checks
-that the point lies on the circle.
+powers (square-and-multiply over the product of raw coordinate pairs),
+square roots (tied to perfect distances over prime fields), element
+orders, and the cyclic/acyclic classification of rational points via
+Gaussian integers.
+
+Products, powers and searches work on raw coordinate pairs (the
+fields' own values, no FieldElement objects), so no intermediate
+product is checked.  Every element the module returns is built by
+`RotationElement`, which checks once, when the result is wrapped, that
+the point lies on the circle.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CircleMismatch, NotCoprime, WrongFieldKind
-from .fields import FieldElement, PrimeField, Rationals, _power, _trial_division
+from .errors import CircleMismatch, FactorBoundExceeded, NotCoprime, WrongFieldKind
+from .fields import (
+    _TRIAL_BOUND,
+    FieldElement,
+    PrimeField,
+    Rationals,
+    _power,
+    _trial_division,
+    is_prime,
+)
 from .maximal import is_perfect_distance
 from .plane import Circle, PlanePoint, circle_cardinality, enumerate_circle, squared_distance
 
@@ -81,41 +94,76 @@ def identity_element(circle: Circle) -> RotationElement:
     return RotationElement(circle, PlanePoint(circle.radius, circle.field.zero))
 
 
+def _raw(p: PlanePoint) -> tuple:
+    """The raw coordinate pair (x, y) of a point."""
+    return p.x.value, p.y.value
+
+
+def _raw_identity(circle: Circle) -> tuple:
+    return circle.radius.value, circle.field.zero.value
+
+
+def _raw_product(circle: Circle):
+    """The rotation product of `circle` as a function of two raw coordinate pairs.
+
+    r^-1 is computed here, once; the returned function only multiplies
+    and adds with the field's raw operations and checks nothing.
+    """
+    field = circle.field
+    mul, add, sub = field._mul, field._add, field._sub
+    r_inv = field._inv(circle.radius.value)
+
+    def product(a: tuple, b: tuple) -> tuple:
+        (a1, a2), (b1, b2) = a, b
+        return (
+            mul(sub(mul(a1, b1), mul(a2, b2)), r_inv),
+            mul(add(mul(a1, b2), mul(a2, b1)), r_inv),
+        )
+
+    return product
+
+
+def _element(circle: Circle, raw: tuple) -> RotationElement:
+    """Wrap a raw coordinate pair; RotationElement checks it is on the circle."""
+    field = circle.field
+    x, y = raw
+    return RotationElement(circle, PlanePoint(FieldElement(field, x), FieldElement(field, y)))
+
+
 def rot_mul(a: RotationElement, b: RotationElement) -> RotationElement:
     """The rotation product of two elements of the same circle group."""
     if a.circle != b.circle:
         raise CircleMismatch(f"elements of {a.circle} and {b.circle}")
-    field = a.field
-    mul = field._mul
-    r_inv = field._inv(a.circle.radius.value)
-    a1, a2 = a.point.x.value, a.point.y.value
-    b1, b2 = b.point.x.value, b.point.y.value
-    x = mul(field._sub(mul(a1, b1), mul(a2, b2)), r_inv)
-    y = mul(field._add(mul(a1, b2), mul(a2, b1)), r_inv)
-    return RotationElement(a.circle, PlanePoint(FieldElement(field, x), FieldElement(field, y)))
+    return _element(a.circle, _raw_product(a.circle)(_raw(a.point), _raw(b.point)))
 
 
 def rot_pow(a: RotationElement, n: int) -> RotationElement:
-    """n-th power by square-and-multiply over rot_mul; a^0 is the identity (r, 0)."""
+    """n-th power by square-and-multiply on raw pairs; a^0 is the identity (r, 0).
+
+    Only the result is wrapped, and so checked, as a RotationElement.
+    """
     if not isinstance(n, int) or n < 0:
         raise ValueError("exponent must be a nonnegative integer")
-    return _power(rot_mul, identity_element(a.circle), a, n)
+    c = a.circle
+    return _element(c, _power(_raw_product(c), _raw_identity(c), _raw(a.point), n))
 
 
 def induced_squared_distance(a: RotationElement):
     """Squared distance from the element to the identity (r, 0)."""
-    return squared_distance(a.point, identity_element(a.circle).point)
+    return squared_distance(a.point, PlanePoint(a.circle.radius, a.field.zero))
 
 
 def _exhaustive_sqrt(a: RotationElement):
+    product = _raw_product(a.circle)
+    target = _raw(a.point)
     roots = []
     for p in enumerate_circle(a.circle):
-        b = RotationElement(a.circle, p)
-        if rot_mul(b, b) == a:
-            roots.append(b)
+        b = _raw(p)
+        if product(b, b) == target:
+            roots.append(p)
     if not roots:
         return None
-    return min(roots, key=lambda e: e.point.sort_key())
+    return RotationElement(a.circle, min(roots, key=PlanePoint.sort_key))
 
 
 def rot_sqrt(a: RotationElement, unchecked: bool = False) -> RotationElement | None:
@@ -153,16 +201,24 @@ def rot_sqrt(a: RotationElement, unchecked: bool = False) -> RotationElement | N
     b2 = (induced / four).sqrt()
     b1 = r * a.point.y / (field.from_int(2) * b2)
     b = RotationElement(a.circle, PlanePoint(b1, b2))
-    root_check = rot_mul(b, b)
-    if root_check != a:
+    root = _raw(b.point)
+    if _raw_product(a.circle)(root, root) != _raw(a.point):
         raise AssertionError(f"square-root construction failed for {a}")
     return b
 
 
 def _factorize(n: int) -> dict[int, int]:
-    exponents, cofactor = _trial_division(n, math.isqrt(n) + 1)
+    """Prime factorization by trial division up to _TRIAL_BOUND.
+
+    A cofactor left over must be prime; FactorBoundExceeded otherwise.
+    """
+    exponents, cofactor = _trial_division(n, _TRIAL_BOUND)
     if cofactor > 1:
-        exponents[cofactor] = 1  # no factor up to its square root: prime
+        if not is_prime(cofactor):
+            raise FactorBoundExceeded(
+                f"{n} leaves the composite cofactor {cofactor} after trial division to {_TRIAL_BOUND}"
+            )
+        exponents[cofactor] = 1
     return exponents
 
 
@@ -172,12 +228,18 @@ def group_order(circle: Circle) -> int:
 
 
 def element_order(a: RotationElement) -> int:
-    """Multiplicative order of an element of a finite rotation group."""
+    """Multiplicative order of an element of a finite rotation group.
+
+    Raises FactorBoundExceeded when the group order does not factor by
+    trial division up to 10^6 with at most one prime left over.
+    """
     if not a.field.is_finite():
         raise WrongFieldKind("element orders over Q come from classify_cyclicity")
-    order = group_order(a.circle)
+    c = a.circle
+    product, one, x = _raw_product(c), _raw_identity(c), _raw(a.point)
+    order = group_order(c)
     for p in _factorize(order):
-        while order % p == 0 and rot_pow(a, order // p).is_identity():
+        while order % p == 0 and _power(product, one, x, order // p) == one:
             order //= p
     return order
 

@@ -24,6 +24,8 @@ from circlering.keyex import (
 from circlering.plane import circle, enumerate_circle, point_from_parameter
 from circlering.rotation import RotationElement, rot_pow, rotation_element
 
+from oracles import rot_pow_residues
+
 F13 = PrimeField(13)
 Q = Rationals()
 C13 = circle(F13, (0, 0), 1)
@@ -104,6 +106,24 @@ def test_brute_force_dlog_cost():
     assert rot_pow(BASE13, iters) == a.sent
     t = simulate_exchange(params, 1, 2, dlog_cap=20)
     assert t.dlog_iterations is not None
+    # every base and target of small circles: the least k <= cap with base^k = target
+    for p in (13, 17):
+        for r in (1, 2):
+            c = circle(PrimeField(p), (0, 0), r)
+            points = [(q.x.value, q.y.value) for q in enumerate_circle(c)]
+            cap = len(points)
+            for b in points:
+                powers = [rot_pow_residues(p, r, b, k) for k in range(1, cap + 1)]
+                for target in points:
+                    want = powers.index(target) + 1 if target in powers else None
+                    got = brute_force_dlog(rotation_element(c, *b), rotation_element(c, *target), cap)
+                    assert got == want
+    # a target on another circle is never hit, even when its coordinates are
+    # those of a power of the base: (1, 0) is BASE13^12 on C13, and it lies
+    # on the unit circle over F_17 and on the radius -1 circle over F_13 too
+    assert brute_force_dlog(BASE13, rotation_element(C13, 1, 0), 12) == 12
+    for other in (circle(PrimeField(17), (0, 0), 1), circle(F13, (0, 0), -1)):
+        assert brute_force_dlog(BASE13, rotation_element(other, 1, 0), 12) is None
 
 
 def test_wire_roundtrip_elements(rng):

@@ -1,11 +1,21 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from circlering.errors import CircleMismatch, NotCoprime, WrongFieldKind
+import circlering
+from circlering.errors import (
+    CircleMismatch,
+    DescriptorMismatch,
+    NotCoprime,
+    PointNotOnCircle,
+    WrongFieldKind,
+)
 from circlering.fields import PrimeField, QuadraticExtension, Rationals, primes_up_to
 from circlering.maximal import is_perfect_distance
-from circlering.plane import circle, enumerate_circle, point_from_parameter
+from circlering.plane import circle, enumerate_circle, point, point_from_parameter
 from circlering.rotation import (
     RotationElement,
     classify_cyclicity,
@@ -44,6 +54,13 @@ def test_rot_mul_golden():
     assert rot_mul(a, a.inverse()) == e
     with pytest.raises(CircleMismatch):
         rot_mul(a, rotation_element(circle(F13, (0, 0), 2), 0, 2))
+    # every element is checked when it is built
+    with pytest.raises(PointNotOnCircle):
+        rotation_element(C13, 2, 5)
+    with pytest.raises(PointNotOnCircle):
+        rotation_element(CQ2, 1, 1)
+    with pytest.raises(DescriptorMismatch):
+        RotationElement(C13, point(F7, 1, 0))  # its raw values satisfy x^2 + y^2 = 1
 
 
 def test_group_axioms_randomized(rng):
@@ -216,6 +233,36 @@ def test_group_order_and_element_orders():
             assert rot_pow(e, k).is_identity()
             assert all(not rot_pow(e, j).is_identity() for j in range(1, min(k, 12)))
     assert element_order(rotation_element(C13, 2, 6)) == 12
+
+
+def test_element_order_factoring_is_bounded():
+    # run apart under a 1 GB address-space limit, so that a factorization
+    # that sieves up to sqrt(p + 1) fails with MemoryError instead of swapping
+    script = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from circlering.errors import FactorBoundExceeded\n"
+        "from circlering.fields import PrimeField\n"
+        "from circlering.plane import circle, point_from_parameter\n"
+        "from circlering.rotation import RotationElement, element_order\n"
+        "def element(p):\n"
+        "    c = circle(PrimeField(p), (0, 0), 1)\n"
+        "    return RotationElement(c, point_from_parameter(c, 2))\n"
+        "# p + 1 = 2^61\n"
+        "order = element_order(element(2**61 - 1))\n"
+        "assert order > 4 and 2**61 % order == 0, order\n"
+        "# p + 1 = 4 * 1000003 * 1000037: two prime factors above 10^6\n"
+        "try:\n"
+        "    element_order(element(4000160000443))\n"
+        "except FactorBoundExceeded:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise SystemExit('no FactorBoundExceeded')\n"
+    )
+    src = os.path.dirname(os.path.dirname(circlering.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script], env=env, timeout=30)
+    assert done.returncode == 0
 
 
 def test_classify_cyclicity():
