@@ -253,7 +253,7 @@ class FieldElement:
         return FieldElement(self.field, self.field._inv(self.value))
 
     def is_zero(self) -> bool:
-        return self.value == self.field.zero.value
+        return self.value == self.field._zero
 
     def __bool__(self):
         return not self.is_zero()
@@ -309,6 +309,7 @@ class FieldDescriptor:
     kind = "?"
     characteristic = 0
     order: int | None = None  # None for Q
+    _zero = 0  # raw value of the zero element
 
     def __call__(self, value) -> FieldElement:
         return FieldElement(self, self._canon(value))
@@ -319,7 +320,7 @@ class FieldDescriptor:
 
     @property
     def zero(self) -> FieldElement:
-        return self(0)
+        return FieldElement(self, self._zero)
 
     @property
     def one(self) -> FieldElement:
@@ -496,6 +497,7 @@ class QuadraticExtension(FieldDescriptor):
 
     kind = "quadratic"
     __slots__ = ("p", "f0", "f1", "_prime")
+    _zero = (0, 0)
 
     def __init__(self, p: int, f: tuple[int, int]):
         prime_field = PrimeField(p)
@@ -628,6 +630,7 @@ class Rationals(FieldDescriptor):
 
     kind = "rationals"
     __slots__ = ()
+    _zero = Fraction(0)
     characteristic = 0
     order = None
 

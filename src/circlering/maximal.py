@@ -18,6 +18,7 @@ from fractions import Fraction
 
 from .errors import (
     CircleTooLarge,
+    DivisionByZero,
     InfiniteField,
     NotPerfect,
     RadiusSquaredNotInPrimeField,
@@ -34,15 +35,20 @@ from .fields import (
     squarefree_part,
 )
 from .plane import (
+    _ENUMERATION_CAP,
     AT_INFINITY,
     Circle,
     PlanePoint,
     PointAtInfinityMarker,
-    RotationParams,
+    _point,
+    _points,
     _positive_rationals,
+    _raw,
+    _raw_circle_points,
+    _raw_squared_distance,
+    circle_cardinality,
     enumerate_circle,
     point_from_parameter,
-    rotate,
     rotation_between,
     squared_distance,
 )
@@ -57,12 +63,13 @@ class SetStatus(enum.Enum):
 class CircularPointSet:
     """A set of circle points with pairwise rational squared distances.
 
-    The defining property is always validated at construction.  Over a
-    prime field and over Q rationality is a class relation (two-class
-    theorem), so every point is checked against the first one only;
-    over a quadratic extension it is not transitive and every pair is
-    checked.  `is_prefix` marks the finite prefix of a countably
-    infinite set over Q.
+    The defining property is always validated at construction: every
+    point must lie on the circle, and squared distances are tested on
+    raw field values.  Over a prime field and over Q rationality is a
+    class relation (two-class theorem), so every point is checked
+    against the first one only; over a quadratic extension it is not
+    transitive and every pair is checked.  `is_prefix` marks the finite
+    prefix of a countably infinite set over Q.
     """
 
     __slots__ = ("circle", "points", "status", "is_prefix")
@@ -72,10 +79,13 @@ class CircularPointSet:
         pts = sorted(set(points), key=PlanePoint.sort_key)
         for p in pts:
             circle.require(p)
-        anchors = pts if isinstance(circle.field, QuadraticExtension) else pts[:1]
-        for i, p in enumerate(anchors):
-            for q in pts[i + 1 :]:
-                if not _rational(p, q):
+        field = circle.field
+        raw = [_raw(p) for p in pts]
+        anchors = raw if isinstance(field, QuadraticExtension) else raw[:1]
+        for i, a in enumerate(anchors):
+            for j in range(i + 1, len(raw)):
+                if not _rational(field, a, raw[j]):
+                    p, q = pts[i], pts[j]
                     raise ValueError(
                         f"non-rational distance {squared_distance(p, q)} between {p} and {q}"
                     )
@@ -105,11 +115,12 @@ class CircularPointSet:
 
     def distance_values(self) -> set:
         """All pairwise squared distances occurring inside the set."""
-        out = set()
-        for i, p in enumerate(self.points):
-            for q in self.points[i + 1 :]:
-                out.add(squared_distance(p, q))
-        return out
+        field = self.circle.field
+        raw = [_raw(p) for p in self.points]
+        values = {
+            _raw_squared_distance(field, a, b) for i, a in enumerate(raw) for b in raw[i + 1 :]
+        }
+        return {FieldElement(field, v) for v in values}
 
     def __repr__(self):
         body = ",".join(str(p) for p in self.points)
@@ -146,16 +157,16 @@ class CardinalityAnswer:
 _WITNESS_CAP = 10_000
 
 
-def _rational(p: PlanePoint, q: PlanePoint) -> bool:
-    """The rational-pair relation: the squared distance is a prime-subfield square."""
-    return squared_distance(p, q).is_prime_subfield_square()
+def _rational(field: FieldDescriptor, a: tuple, b: tuple) -> bool:
+    """The rational-pair relation on raw pairs: the squared distance is a prime-subfield square."""
+    return field._is_prime_subfield_square(_raw_squared_distance(field, a, b))
 
 
 def is_rational_distance(c: Circle, p: PlanePoint, q: PlanePoint) -> bool:
     """Whether two circle points have rational squared distance."""
     c.require(p)
     c.require(q)
-    return _rational(p, q)
+    return _rational(c.field, _raw(p), _raw(q))
 
 
 def partition_prime_field_circle(c: Circle):
@@ -169,13 +180,13 @@ def partition_prime_field_circle(c: Circle):
     field = c.field
     if not isinstance(field, PrimeField) or field.characteristic == 2:
         raise WrongFieldKind("partition needs a finite prime field of odd characteristic")
-    marker = point_from_parameter(c, AT_INFINITY)
+    marker = _raw(point_from_parameter(c, AT_INFINITY))
     first, second = [], []
-    for p in enumerate_circle(c):
-        (second if _rational(marker, p) else first).append(p)
+    for xy in _raw_circle_points(c):
+        (second if _rational(field, marker, xy) else first).append(xy)
     return (
-        CircularPointSet(c, first, SetStatus.C_MAXIMAL),
-        CircularPointSet(c, second, SetStatus.C_MAXIMAL),
+        CircularPointSet(c, _points(field, first), SetStatus.C_MAXIMAL),
+        CircularPointSet(c, _points(field, second), SetStatus.C_MAXIMAL),
     )
 
 
@@ -203,46 +214,72 @@ def partition_rational_circle_points(c: Circle, sample, bound: int = 10**6):
     }
 
 
+def _four_r2(c: Circle):
+    """The raw value 4r^2 of the circle."""
+    field = c.field
+    r = c.radius.value
+    return field._mul(field._canon(4), field._mul(r, r))
+
+
+def _rest(c: Circle, q):
+    """The raw value 1 - q/(4r^2) for a raw q."""
+    field = c.field
+    four_r2 = _four_r2(c)
+    if four_r2 == field._zero:  # characteristic 2
+        raise DivisionByZero(f"inverse of zero in {field}")
+    return field._sub(field._canon(1), field._mul(q, field._inv(four_r2)))
+
+
+def _acp(c: Circle, q) -> bool:
+    """The algebraic circle property of a raw q."""
+    field = c.field
+    rest = _rest(c, q)
+    return field._is_prime_subfield_square(q) and field._is_prime_subfield_square(rest)
+
+
 def check_acp(c: Circle, q) -> bool:
     """The algebraic circle property: q and 1 - q/(4r^2) both prime squares."""
+    return _acp(c, c.field(q).value)
+
+
+def _antipodes(c: Circle) -> tuple:
+    """The raw pairs of the circle points (m1 + r, m2) and (m1 - r, m2)."""
     field = c.field
-    q = field(q)
-    r2 = c.radius * c.radius
-    rest = field.one - q / (field.from_int(4) * r2)
-    return q.is_prime_subfield_square() and rest.is_prime_subfield_square()
+    (m1, m2), r = _raw(c.center), c.radius.value
+    return (field._add(m1, r), m2), (field._sub(m1, r), m2)
 
 
-def _witness_triangle(c: Circle, q: FieldElement):
-    """Rational triangle realizing q: (r,0), (x,y), (x,-y) shifted to center.
+def _witness_triangle(c: Circle, q):
+    """Rational triangle realizing the raw value q: (r,0), (x,y), (x,-y) shifted to center.
 
     x = r - q/(2r) and y is the prime-subfield root of q(1 - q/(4r^2));
     valid whenever q is nonzero, rational, and satisfies the algebraic
     circle property.
     """
     field = c.field
-    r = c.radius
-    two = field.from_int(2)
-    four = field.from_int(4)
-    x = r - q / (two * r)
-    y = (q * (field.one - q / (four * r * r))).prime_sqrt()
-    p1 = c.center + PlanePoint(r, field.zero)
-    p2 = c.center + PlanePoint(x, y)
-    p3 = c.center + PlanePoint(x, -y)
+    add, sub, mul, inv = field._add, field._sub, field._mul, field._inv
+    (m1, m2), r = _raw(c.center), c.radius.value
+    x = sub(r, mul(q, inv(mul(field._canon(2), r))))
+    y = field._prime_sqrt(mul(q, _rest(c, q)))
+    mx = add(m1, x)
+    raw = (_antipodes(c)[0], (mx, add(m2, y)), (mx, sub(m2, y)))
+    p1, p2, p3 = (_point(field, xy) for xy in raw)
     for p in (p1, p2, p3):
         c.require(p)
-    if squared_distance(p1, p2) != q:
-        raise AssertionError(f"witness triangle for {q} has side {squared_distance(p1, p2)}")
+    side = _raw_squared_distance(field, raw[0], raw[1])
+    if side != q:
+        raise AssertionError(
+            f"witness triangle for {FieldElement(field, q)} has side {FieldElement(field, side)}"
+        )
     return (p1, p2, p3)
 
 
-def _antipode_triangle(c: Circle, other_q: FieldElement):
-    """Rational triangle with one side 4r^2, built from another perfect q."""
+def _antipode_triangle(c: Circle, other_q):
+    """Rational triangle with one side 4r^2, built from another perfect raw value."""
     field = c.field
-    r = c.radius
-    p1 = c.center + PlanePoint(r, field.zero)
-    p2 = c.center + PlanePoint(-r, field.zero)
-    third = points_at_distance(c, p1, other_q)[0]
-    if not _rational(p2, third):
+    p1, p2 = (_point(field, xy) for xy in _antipodes(c))
+    third = points_at_distance(c, p1, FieldElement(field, other_q))[0]
+    if not _rational(field, _raw(p2), _raw(third)):
         raise AssertionError(f"antipode triangle through {third} is not rational")
     return (p1, p2, third)
 
@@ -252,14 +289,10 @@ def _search_antipodal_triangle(c: Circle):
     field = c.field
     if not field.is_finite():
         return None
-    r = c.radius
-    p1 = c.center + PlanePoint(r, field.zero)
-    p2 = c.center + PlanePoint(-r, field.zero)
-    for cand in enumerate_circle(c):
-        if cand in (p1, p2):
-            continue
-        if _rational(p1, cand) and _rational(p2, cand):
-            return (p1, p2, cand)
+    p1, p2 = _antipodes(c)
+    for cand in _raw_circle_points(c):
+        if cand != p1 and cand != p2 and _rational(field, p1, cand) and _rational(field, p2, cand):
+            return tuple(_point(field, xy) for xy in (p1, p2, cand))
     return None
 
 
@@ -274,62 +307,73 @@ def _antipodal_perfect(c: Circle) -> bool:
     return _first_other_perfect(c) is not None or _search_antipodal_triangle(c) is not None
 
 
-def _witness(c: Circle, q: FieldElement):
-    """The witness triangle of a perfect distance q (None when 4r^2 has none)."""
-    if q == c.field.from_int(4) * (c.radius * c.radius):
-        return _antipodal_witness(c)
-    return _witness_triangle(c, q)
+def _witness(c: Circle, q):
+    """The witness triangle of a perfect raw value q (None when 4r^2 has none)."""
+    return _antipodal_witness(c) if q == _four_r2(c) else _witness_triangle(c, q)
 
 
-def _q_of(t: FieldElement, r2: FieldElement) -> FieldElement | None:
-    """The perfect distance (4tr^2/(t^2+r^2))^2 named by t; None when t^2 = -r^2."""
-    denom = t * t + r2
-    if denom.is_zero():
-        return None
-    val = t.field.from_int(4) * t * r2 / denom
-    return val * val
+def _parametrized_perfect(c: Circle):
+    """The raw perfect distances (4tr^2/(t^2+r^2))^2 other than 4r^2, each once.
+
+    t runs through 1, ..., p - 1 of the prime subfield over a finite
+    field, and through the positive rationals (Calkin-Wilf order) over
+    Q; values t with t^2 = -r^2 name no distance.
+    """
+    field = c.field
+    add, mul, inv = field._add, field._mul, field._inv
+    r = c.radius.value
+    r2 = mul(r, r)
+    four_r2 = _four_r2(c)
+    if field.is_finite():
+        params = map(field._canon, range(1, field.characteristic))
+    else:
+        params = _positive_rationals()
+    zero = field._zero
+    seen = {four_r2}
+    for t in params:
+        denom = add(mul(t, t), r2)
+        if denom == zero:
+            continue
+        val = mul(mul(four_r2, t), inv(denom))
+        q = mul(val, val)
+        if q not in seen:
+            seen.add(q)
+            yield q
 
 
 def _perfect_values(c: Circle):
-    """The perfect distances of a circle in stream order, without witnesses.
+    """The perfect distances of a circle in stream order, as raw values, without witnesses.
 
     Every q != 4r^2 arises as (4tr^2/(t^2+r^2))^2 for a prime-subfield
     parameter t; the remaining candidate 4r^2 is included only when a
     rational triangle realizes it.  Finite fields give the parametrized
     values in ascending t and 4r^2 last; over Q the stream is infinite,
     starts with 4r^2, and then walks t through the positive rationals.
+    A finite field whose characteristic passes the enumeration cap
+    raises CircleTooLarge before the parameter scan.
     """
     field = c.field
     if field.characteristic == 2:
         raise WrongFieldKind("perfect distances are defined for characteristic != 2")
-    r2 = c.radius * c.radius
-    if not r2.in_prime_subfield():
+    r = c.radius.value
+    if not field._in_prime_subfield(field._mul(r, r)):
         raise RadiusSquaredNotInPrimeField(
             "no circular point set of size >= 3 exists when r^2 is outside P(F)"
         )
-    four_r2 = field.from_int(4) * r2
-
+    four_r2 = _four_r2(c)
     if field.is_finite():
-        seen = set()
-        for k in range(1, field.characteristic):
-            q = _q_of(field.from_int(k), r2)
-            if q is None or q == four_r2 or q in seen:
-                continue
-            seen.add(q)
-            yield q
-        if four_r2.is_prime_subfield_square() and _antipodal_perfect(c):
+        if field.characteristic > _ENUMERATION_CAP:
+            raise CircleTooLarge(
+                f"{field.characteristic - 1} parameters exceed the cap {_ENUMERATION_CAP}"
+            )
+        yield from _parametrized_perfect(c)
+        if field._is_prime_subfield_square(four_r2) and _antipodal_perfect(c):
             yield four_r2
         return
-
     # over Q: 4r^2 is always perfect (r is rational and other perfect
     # distances exist for every parameter t)
     yield four_r2
-    seen = {four_r2}
-    for t in _positive_rationals():
-        q = _q_of(field(t), r2)
-        if q is not None and q not in seen:
-            seen.add(q)
-            yield q
+    yield from _parametrized_perfect(c)
 
 
 def iter_perfect_distances(c: Circle):
@@ -339,8 +383,9 @@ def iter_perfect_distances(c: Circle):
     and 4r^2 last, when a rational triangle realizes it; over Q the
     stream is infinite and starts with 4r^2.
     """
+    field = c.field
     for q in _perfect_values(c):
-        yield q, _witness(c, q)
+        yield FieldElement(field, q), _witness(c, q)
 
 
 def perfect_distances(c: Circle) -> dict:
@@ -354,17 +399,9 @@ def perfect_distances(c: Circle) -> dict:
     return dict(iter_perfect_distances(c))
 
 
-def _first_other_perfect(c: Circle) -> FieldElement | None:
-    """The first parametrized perfect distance different from 4r^2, if any."""
-    field = c.field
-    r2 = c.radius * c.radius
-    four_r2 = field.from_int(4) * r2
-    bound = field.characteristic if field.is_finite() else 4
-    for k in range(1, bound):
-        q = _q_of(field.from_int(k), r2)
-        if q is not None and q != four_r2:
-            return q
-    return None
+def _first_other_perfect(c: Circle):
+    """The first parametrized perfect distance different from 4r^2 (raw), if any."""
+    return next(_parametrized_perfect(c), None)
 
 
 def is_perfect_distance(c: Circle, q) -> bool:
@@ -387,7 +424,7 @@ def _is_perfect(c: Circle, q: FieldElement, acp: bool) -> bool:
     r2 = c.radius * c.radius
     if q.is_zero() or not acp or not r2.in_prime_subfield():
         return False
-    return q != c.field.from_int(4) * r2 or _antipodal_perfect(c)
+    return q.value != _four_r2(c) or _antipodal_perfect(c)
 
 
 def perfect_distance_report(c: Circle, q) -> PerfectDistanceReport:
@@ -399,7 +436,7 @@ def perfect_distance_report(c: Circle, q) -> PerfectDistanceReport:
     rational = q.is_prime_subfield_square()
     acp = check_acp(c, q)
     perfect = _is_perfect(c, q, acp)
-    witness = _witness(c, q) if perfect else None
+    witness = _witness(c, q.value) if perfect else None
     return PerfectDistanceReport(c, q, rational, acp, perfect, witness)
 
 
@@ -414,34 +451,50 @@ def points_at_distance(c: Circle, base: PlanePoint, q) -> list[PlanePoint]:
     """
     q = c.field(q)
     c.require(base)
-    return _points_at_distance(c, base, _rotation_from_anchor(c, base), q)
+    return _points_at_distance(c, base, _rotation_from_anchor(c, base), q.value)
 
 
-def _rotation_from_anchor(c: Circle, base: PlanePoint) -> RotationParams:
-    """The rotation about the origin carrying (0, -r) to base - center."""
+def _rotation_from_anchor(c: Circle, base: PlanePoint) -> tuple:
+    """The raw (a, b) of the rotation about the origin carrying (0, -r) to base - center."""
     field = c.field
     origin_circle = Circle(PlanePoint(field.zero, field.zero), c.radius)
     anchor = PlanePoint(field.zero, -c.radius)
-    return rotation_between(anchor, base - c.center, origin_circle)
+    rho = rotation_between(anchor, base - c.center, origin_circle)
+    return rho.a.value, rho.b.value
 
 
-def _points_at_distance(c: Circle, base: PlanePoint, rho: RotationParams, q: FieldElement):
-    """points_at_distance for a base already on `c`, with its anchor rotation rho."""
+def _points_at_distance(c: Circle, base: PlanePoint, rho: tuple, q) -> list[PlanePoint]:
+    """points_at_distance for a base already on `c`, its raw anchor rotation rho and a raw q.
+
+    Every returned point is checked to lie on the circle at squared
+    distance q from the base.
+    """
     field = c.field
-    if q.is_zero() or not check_acp(c, q):
-        raise NotPerfect(f"{q} is not realizable as a perfect distance on {c}")
-    r = c.radius
-    two = field.from_int(2)
-    four = field.from_int(4)
-    alpha = q.prime_sqrt()
-    beta = (field.one - q / (four * r * r)).prime_sqrt()
-    second = q / (two * r) - r
-    raw = {PlanePoint(alpha * beta, second), PlanePoint(-(alpha * beta), second)}
-    out = sorted((rotate(p, rho) + c.center for p in raw), key=PlanePoint.sort_key)
-    for p in out:
+    add, sub, mul, inv = field._add, field._sub, field._mul, field._inv
+    r = c.radius.value
+    if q == field._zero or not _acp(c, q):
+        raise NotPerfect(
+            f"{FieldElement(field, q)} is not realizable as a perfect distance on {c}"
+        )
+    alpha = field._prime_sqrt(q)
+    beta = field._prime_sqrt(_rest(c, q))
+    second = sub(mul(q, inv(mul(field._canon(2), r))), r)
+    (a, b), (m1, m2) = rho, _raw(c.center)
+    ab = mul(alpha, beta)
+    # the rotation [[a, b], [-b, a]] of (x, second), then the shift by the center
+    raw = sorted({
+        (add(m1, add(mul(a, x), mul(b, second))), add(m2, sub(mul(a, second), mul(b, x))))
+        for x in (ab, field._neg(ab))
+    })
+    out = [_point(field, xy) for xy in raw]
+    at = _raw(base)
+    for p, xy in zip(out, raw):
         c.require(p)
-        if squared_distance(base, p) != q:
-            raise AssertionError(f"{p} is at {squared_distance(base, p)}, not {q}, from {base}")
+        d = _raw_squared_distance(field, at, xy)
+        if d != q:
+            raise AssertionError(
+                f"{p} is at {FieldElement(field, d)}, not {FieldElement(field, q)}, from {base}"
+            )
     return out
 
 
@@ -452,9 +505,11 @@ def _rational_partner(c: Circle, seed: PlanePoint) -> PlanePoint | None:
     rational partner of any point exists exactly when one exists for
     the seed.
     """
-    for cand in enumerate_circle(c):
-        if cand != seed and _rational(seed, cand):
-            return cand
+    field = c.field
+    s = _raw(seed)
+    for xy in _raw_circle_points(c):
+        if xy != s and _rational(field, s, xy):
+            return _point(field, xy)
     return None
 
 
@@ -510,8 +565,8 @@ def grow_maximal_set(c: Circle, seed: PlanePoint, prefix: int = 64) -> CircularP
     return CircularPointSet(c, pts, SetStatus.C_MAXIMAL)
 
 
-def _rationality_adjacency(field: FieldDescriptor, points: list[PlanePoint]) -> list[int]:
-    """Bitmask adjacency of the rationality graph on points of a finite field.
+def _rationality_adjacency(field: FieldDescriptor, points: list[tuple]) -> list[int]:
+    """Bitmask adjacency of the rationality graph on raw points of a finite field.
 
     Compares raw squared-distance residues against the prime-subfield
     squares; in characteristic 2 every distance is 0, a square.
@@ -524,7 +579,7 @@ def _rationality_adjacency(field: FieldDescriptor, points: list[PlanePoint]) -> 
     for i in range(n):
         pi = points[i]
         for j in range(i + 1, n):
-            if squared_distance(pi, points[j]).value in squares:
+            if _raw_squared_distance(field, pi, points[j]) in squares:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
     return adj
@@ -555,25 +610,23 @@ def enumerate_emaximal_sets(c: Circle, seed: PlanePoint, cap: int = 4096):
     c-maximal, which is also globally correct because rotations carry
     cliques through any point to cliques through any other.
     """
-    pts = enumerate_circle(c)
-    if len(pts) > cap:
-        raise CircleTooLarge(f"{len(pts)} circle points exceed the cap {cap}")
+    field = c.field
+    n = circle_cardinality(field)
+    if n > cap:
+        raise CircleTooLarge(f"{n} circle points exceed the cap {cap}")
     c.require(seed)
-    index = {p: i for i, p in enumerate(pts)}
-    adj = _rationality_adjacency(c.field, pts)
-    s = index[seed]
+    raw = _raw_circle_points(c)
+    adj = _rationality_adjacency(field, raw)
+    s = raw.index(_raw(seed))
     found: list[int] = []
     _bron_kerbosch(adj, 1 << s, adj[s], 0, found)
-    cliques = []
-    for mask in found:
-        members = [pts[i] for i in range(len(pts)) if mask >> i & 1]
-        cliques.append(members)
-    cliques.sort(key=lambda ms: (-len(ms), [m.sort_key() for m in ms]))
+    cliques = [[raw[i] for i in range(n) if mask >> i & 1] for mask in found]
+    cliques.sort(key=lambda ms: (-len(ms), ms))
     best = len(cliques[0]) if cliques else 0
     return [
         CircularPointSet(
             c,
-            ms,
+            [_point(field, xy) for xy in ms],
             SetStatus.C_MAXIMAL if len(ms) == best else SetStatus.E_MAXIMAL,
         )
         for ms in cliques

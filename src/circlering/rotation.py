@@ -25,7 +25,6 @@ from fractions import Fraction
 from .errors import CircleMismatch, FactorBoundExceeded, NotCoprime, WrongFieldKind
 from .fields import (
     _TRIAL_BOUND,
-    FieldElement,
     PrimeField,
     Rationals,
     _power,
@@ -33,7 +32,15 @@ from .fields import (
     is_prime,
 )
 from .maximal import is_perfect_distance
-from .plane import Circle, PlanePoint, circle_cardinality, enumerate_circle, squared_distance
+from .plane import (
+    Circle,
+    PlanePoint,
+    _point,
+    _raw,
+    _raw_circle_points,
+    circle_cardinality,
+    squared_distance,
+)
 
 
 class RotationElement:
@@ -42,7 +49,8 @@ class RotationElement:
     __slots__ = ("circle", "point")
 
     def __init__(self, circle: Circle, point: PlanePoint):
-        if circle.center.x or circle.center.y:
+        zero = circle.field._zero
+        if _raw(circle.center) != (zero, zero):
             raise ValueError("rotation group lives on circles centered at the origin")
         circle.require(point)
         object.__setattr__(self, "circle", circle)
@@ -94,13 +102,8 @@ def identity_element(circle: Circle) -> RotationElement:
     return RotationElement(circle, PlanePoint(circle.radius, circle.field.zero))
 
 
-def _raw(p: PlanePoint) -> tuple:
-    """The raw coordinate pair (x, y) of a point."""
-    return p.x.value, p.y.value
-
-
 def _raw_identity(circle: Circle) -> tuple:
-    return circle.radius.value, circle.field.zero.value
+    return circle.radius.value, circle.field._zero
 
 
 def _raw_product(circle: Circle):
@@ -125,9 +128,7 @@ def _raw_product(circle: Circle):
 
 def _element(circle: Circle, raw: tuple) -> RotationElement:
     """Wrap a raw coordinate pair; RotationElement checks it is on the circle."""
-    field = circle.field
-    x, y = raw
-    return RotationElement(circle, PlanePoint(FieldElement(field, x), FieldElement(field, y)))
+    return RotationElement(circle, _point(circle.field, raw))
 
 
 def rot_mul(a: RotationElement, b: RotationElement) -> RotationElement:
@@ -156,14 +157,9 @@ def induced_squared_distance(a: RotationElement):
 def _exhaustive_sqrt(a: RotationElement):
     product = _raw_product(a.circle)
     target = _raw(a.point)
-    roots = []
-    for p in enumerate_circle(a.circle):
-        b = _raw(p)
-        if product(b, b) == target:
-            roots.append(p)
-    if not roots:
-        return None
-    return RotationElement(a.circle, min(roots, key=PlanePoint.sort_key))
+    roots = [b for b in _raw_circle_points(a.circle) if product(b, b) == target]
+    # the least root in PlanePoint.sort_key order, which is raw order
+    return _element(a.circle, roots[0]) if roots else None
 
 
 def rot_sqrt(a: RotationElement, unchecked: bool = False) -> RotationElement | None:

@@ -4,10 +4,12 @@ Two kinds live here:
 
 * Independent oracles work on raw residues and Fractions with their own
   arithmetic, so a bug in the library cannot hide inside them:
-  `squares_of`, `brute_circle_prime`, `rationality_graph_prime`,
-  `connected_components`, `perfect_distances_by_triangles`,
-  `rot_mul_residues`, `rot_pow_residues`, `fraction_is_square`, and the
-  Gaussian-integer branch of `identity_power_sweep` over Q.
+  `squares_of`, `brute_circle_prime`, `quadratic_mul`,
+  `quadratic_squared_distance`, `brute_circle_quadratic`,
+  `rationality_graph_prime`, `connected_components`,
+  `perfect_distances_by_triangles`, `rot_mul_residues`,
+  `rot_pow_residues`, `fraction_is_square`, and the Gaussian-integer
+  branch of `identity_power_sweep` over Q.
 * Exhaustive scans that drive the library's own field elements, points
   and products, checking a global property the library decides by a
   theorem or a closed form: `brute_circle_field`, `iterated_rot_pow`,
@@ -33,6 +35,33 @@ def brute_circle_prime(p: int, m1: int, m2: int, r: int) -> set:
         for x in range(p)
         for y in range(p)
         if ((x - m1) ** 2 + (y - m2) ** 2) % p == rr
+    }
+
+
+def quadratic_mul(p: int, f: tuple, a: tuple, b: tuple) -> tuple:
+    """(a0 + a1 x)(b0 + b1 x) in F_p[x]/(x^2 + f1 x + f0), on coefficient pairs (c0, c1)."""
+    f0, f1 = f
+    hi = a[1] * b[1]
+    return ((a[0] * b[0] - f0 * hi) % p, (a[0] * b[1] + a[1] * b[0] - f1 * hi) % p)
+
+
+def quadratic_squared_distance(p: int, f: tuple, a: tuple, b: tuple) -> tuple:
+    """(a1-b1)^2 + (a2-b2)^2 for points whose coordinates are coefficient pairs."""
+    dx = ((a[0][0] - b[0][0]) % p, (a[0][1] - b[0][1]) % p)
+    dy = ((a[1][0] - b[1][0]) % p, (a[1][1] - b[1][1]) % p)
+    sx, sy = quadratic_mul(p, f, dx, dx), quadratic_mul(p, f, dy, dy)
+    return ((sx[0] + sy[0]) % p, (sx[1] + sy[1]) % p)
+
+
+def brute_circle_quadratic(p: int, f: tuple, center: tuple, r: tuple) -> set:
+    """Circle points over F_p[x]/(x^2 + f1 x + f0) by scanning all p^4 coordinate pairs."""
+    elements = [(c0, c1) for c0 in range(p) for c1 in range(p)]
+    rr = quadratic_mul(p, f, r, r)
+    return {
+        (x, y)
+        for x in elements
+        for y in elements
+        if quadratic_squared_distance(p, f, (x, y), center) == rr
     }
 
 

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import circlering
 from circlering.cli import main
 
 
@@ -128,6 +132,16 @@ def test_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["circle", "bogus"])
     assert exc.value.code == 2
+
+
+def test_enumeration_cap():
+    # a circle of 2^61 points is refused before any loop starts, not enumerated
+    script = "import sys; from circlering.cli import main; sys.exit(main(sys.argv[1:]))"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(circlering.__file__)))
+    for cmd in (["circle", "enum"], ["perfect"]):
+        argv = [sys.executable, "-c", script, *cmd, "--field", "Fp:2305843009213693951", "--radius", "1"]
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=5)
+        assert done.returncode == 2 and "CircleTooLarge" in done.stderr, (cmd, done.stderr)
 
 
 def test_config_file(capsys, tmp_path):

@@ -44,10 +44,12 @@ from circlering.plane import (
 
 from oracles import (
     brute_circle_prime,
+    brute_circle_quadratic,
     check_uniformity,
     connected_components,
     perfect_distances_by_triangles,
     points_have_uniformity,
+    quadratic_squared_distance,
     rationality_graph_prime,
 )
 
@@ -209,6 +211,30 @@ def test_points_at_distance():
     assert got == scan and len(got) == 2
     with pytest.raises(NotPerfect):
         points_at_distance(C7, base, F7(1))
+    # from every seed and for every perfect q, the result is the sorted
+    # brute scan of the circle in the oracles' own residue arithmetic
+    cases = []
+    for p in [p for p in primes_up_to(31) if p % 2]:
+        for center in ((0, 0), (1, 2)):
+            for r in (1, 2):
+                pts = brute_circle_prime(p, *center, r)
+                cases.append((circle(PrimeField(p), center, r), pts, perfect_distances_by_triangles(p, r),
+                              lambda a, b, p=p: ((a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2) % p))
+    for field in (QuadraticExtension(3, (1, 0)), F49):
+        p, f = field.p, (field.f0, field.f1)
+        for center in (((0, 0), (0, 0)), ((1, 0), (2, 0))):
+            for r in ((1, 0), (2, 0)):
+                c = circle(field, center, r)
+                pts = brute_circle_quadratic(p, f, center, r)
+                cases.append((c, pts, {q.value for q in perfect_distances(c)},
+                              lambda a, b, p=p, f=f: quadratic_squared_distance(p, f, a, b)))
+    for c, pts, perfect, distance in cases:
+        assert {(s.x.value, s.y.value) for s in enumerate_circle(c)} == pts
+        for seed in sorted(pts):
+            for q in sorted(perfect):
+                got = points_at_distance(c, point(c.field, *seed), q)
+                scan = sorted(pt for pt in pts if distance(seed, pt) == q)
+                assert [(s.x.value, s.y.value) for s in got] == scan, (c, seed, q)
 
 
 def test_grow_maximal_set_f49():
@@ -426,7 +452,7 @@ def test_invariant_checks_survive_optimize():
         "if not sys.flags.optimize:\n"
         "    sys.exit(2)\n"
         "f = PrimeField(7)\n"
-        "m.squared_distance = lambda p, q: f(0)\n"
+        "m._raw_squared_distance = lambda field, a, b: field._zero\n"
         "try:\n"
         "    m.points_at_distance(circle(f, (0, 0), 1), point(f, 0, 1), 2)\n"
         "except AssertionError:\n"
