@@ -104,8 +104,7 @@ def _cmd_circle_enum(args) -> int:
 def _cmd_circle_partition(args) -> int:
     c = _parse_circle(args)
     classes = sorted(maximal.partition_prime_field_circle(c), key=lambda s: s.points[0].sort_key())
-    p = c.field.characteristic
-    expected = (p - 1) // 2 if p % 4 == 1 else (p + 1) // 2
+    expected = maximal.cmaximal_cardinality(c.field, c.radius).n
     sizes = [len(s) for s in classes]
     _emit(
         {
@@ -167,9 +166,10 @@ def _cmd_perfect(args) -> int:
 
 
 def _cmd_verify_prime_theorem(args) -> int:
-    primes = [p for p in sweeps._odd_primes(args.pmax)]
-    if args.parallel > 1:
-        with Pool(args.parallel) as pool:
+    primes = sweeps._odd_primes(args.pmax)
+    workers = min(args.parallel, len(primes), os.cpu_count() or 1)
+    if workers > 1:
+        with Pool(workers) as pool:
             records = pool.starmap(
                 sweeps.prime_theorem_record, [(p, args.graph_max) for p in primes]
             )
@@ -233,6 +233,13 @@ def _cmd_keyex_demo(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return n
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--pretty", action="store_true", help="indented JSON output")
@@ -271,7 +278,8 @@ def _build_parser() -> argparse.ArgumentParser:
     vp = verify_sub.add_parser("prime-theorem", parents=[common])
     vp.add_argument("--pmax", type=int, default=500)
     vp.add_argument("--graph-max", type=int, default=97)
-    vp.add_argument("--parallel", type=int, default=1)
+    vp.add_argument("--parallel", type=_positive_int, default=1,
+                    help="worker processes, at most one per prime and per CPU")
     vp.set_defaults(run=_cmd_verify_prime_theorem)
     vt = verify_sub.add_parser("table", parents=[common])
     vt.set_defaults(run=_cmd_verify_table)

@@ -36,6 +36,9 @@ from .errors import (
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PSI13 = 3317044064679887385961981
+# largest modulus accepted, in bits: is_prime's time grows about with
+# the cube of the bit length (0.1 s at 1279 bits, 3.6 s at 4423)
+_MODULUS_BITS_CAP = 4096
 
 
 def is_prime(n: int) -> bool:
@@ -356,6 +359,9 @@ class PrimeField(FieldDescriptor):
     __slots__ = ("p",)
 
     def __init__(self, p: int):
+        bits = p.bit_length()
+        if bits > _MODULUS_BITS_CAP:
+            raise ValueError(f"a {bits}-bit modulus exceeds the {_MODULUS_BITS_CAP}-bit cap")
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p

@@ -180,14 +180,19 @@ def partition_prime_field_circle(c: Circle):
     field = c.field
     if not isinstance(field, PrimeField) or field.characteristic == 2:
         raise WrongFieldKind("partition needs a finite prime field of odd characteristic")
+    return tuple(
+        CircularPointSet(c, _points(field, cls), SetStatus.C_MAXIMAL) for cls in _raw_partition(c)
+    )
+
+
+def _raw_partition(c: Circle) -> tuple[list, list]:
+    """partition_prime_field_circle on raw pairs, each class in sorted order (odd F_p only)."""
+    field = c.field
     marker = _raw(point_from_parameter(c, AT_INFINITY))
     first, second = [], []
     for xy in _raw_circle_points(c):
         (second if _rational(field, marker, xy) else first).append(xy)
-    return (
-        CircularPointSet(c, _points(field, first), SetStatus.C_MAXIMAL),
-        CircularPointSet(c, _points(field, second), SetStatus.C_MAXIMAL),
-    )
+    return first, second
 
 
 def partition_rational_circle_points(c: Circle, sample, bound: int = 10**6):
@@ -284,32 +289,11 @@ def _antipode_triangle(c: Circle, other_q):
     return (p1, p2, third)
 
 
-def _search_antipodal_triangle(c: Circle):
-    """Exhaustive search for a rational triangle with a 4r^2 side."""
-    field = c.field
-    if not field.is_finite():
-        return None
-    p1, p2 = _antipodes(c)
-    for cand in _raw_circle_points(c):
-        if cand != p1 and cand != p2 and _rational(field, p1, cand) and _rational(field, p2, cand):
-            return tuple(_point(field, xy) for xy in (p1, p2, cand))
-    return None
-
-
-def _antipodal_witness(c: Circle):
-    """A rational triangle with a 4r^2 side, or None when none exists."""
-    other = _first_other_perfect(c)
-    return _antipode_triangle(c, other) if other is not None else _search_antipodal_triangle(c)
-
-
-def _antipodal_perfect(c: Circle) -> bool:
-    """Whether some rational triangle has a 4r^2 side, without building it."""
-    return _first_other_perfect(c) is not None or _search_antipodal_triangle(c) is not None
-
-
 def _witness(c: Circle, q):
-    """The witness triangle of a perfect raw value q (None when 4r^2 has none)."""
-    return _antipodal_witness(c) if q == _four_r2(c) else _witness_triangle(c, q)
+    """The witness triangle of a perfect raw value q."""
+    if q == _four_r2(c):
+        return _antipode_triangle(c, _first_other_perfect(c))
+    return _witness_triangle(c, q)
 
 
 def _parametrized_perfect(c: Circle):
@@ -345,8 +329,9 @@ def _perfect_values(c: Circle):
     """The perfect distances of a circle in stream order, as raw values, without witnesses.
 
     Every q != 4r^2 arises as (4tr^2/(t^2+r^2))^2 for a prime-subfield
-    parameter t; the remaining candidate 4r^2 is included only when a
-    rational triangle realizes it.  Finite fields give the parametrized
+    parameter t; the remaining candidate 4r^2 is included only when it
+    is a prime-subfield square and another perfect distance exists (see
+    _first_other_perfect).  Finite fields give the parametrized
     values in ascending t and 4r^2 last; over Q the stream is infinite,
     starts with 4r^2, and then walks t through the positive rationals.
     A finite field whose characteristic passes the enumeration cap
@@ -367,7 +352,7 @@ def _perfect_values(c: Circle):
                 f"{field.characteristic - 1} parameters exceed the cap {_ENUMERATION_CAP}"
             )
         yield from _parametrized_perfect(c)
-        if field._is_prime_subfield_square(four_r2) and _antipodal_perfect(c):
+        if field._is_prime_subfield_square(four_r2) and _first_other_perfect(c) is not None:
             yield four_r2
         return
     # over Q: 4r^2 is always perfect (r is rational and other perfect
@@ -400,7 +385,14 @@ def perfect_distances(c: Circle) -> dict:
 
 
 def _first_other_perfect(c: Circle):
-    """The first parametrized perfect distance different from 4r^2 (raw), if any."""
+    """The first parametrized perfect distance different from 4r^2 (raw), if any.
+
+    When 4r^2 is a prime-subfield square it is perfect exactly when this
+    is not None.  For the antipodes A, B and every circle point C,
+    d(A,C) + d(B,C) = 4r^2 (Thales), so a rational triangle ABC makes
+    u = d(A,C) a value with u and 1 - u/(4r^2) both squares: another
+    perfect distance.  Conversely _antipode_triangle builds ABC from one.
+    """
     return next(_parametrized_perfect(c), None)
 
 
@@ -409,8 +401,8 @@ def is_perfect_distance(c: Circle, q) -> bool:
 
     q != 4r^2 is perfect exactly when it is nonzero, rational, and
     satisfies the algebraic circle property; q = 4r^2 additionally
-    needs some rational triangle to realize it, which is automatic as
-    soon as any other perfect distance exists.
+    needs some rational triangle to realize it, which exists exactly
+    when some other perfect distance does.
     """
     field = c.field
     if field.characteristic == 2:
@@ -424,7 +416,7 @@ def _is_perfect(c: Circle, q: FieldElement, acp: bool) -> bool:
     r2 = c.radius * c.radius
     if q.is_zero() or not acp or not r2.in_prime_subfield():
         return False
-    return q.value != _four_r2(c) or _antipodal_perfect(c)
+    return q.value != _four_r2(c) or _first_other_perfect(c) is not None
 
 
 def perfect_distance_report(c: Circle, q) -> PerfectDistanceReport:

@@ -19,37 +19,12 @@ from .fields import (
     prime_square_values,
     primes_up_to,
 )
-from .maximal import cmaximal_cardinality, grow_maximal_set
-from .plane import Circle, PlanePoint, enumerate_circle
+from .maximal import _raw_partition, cmaximal_cardinality, grow_maximal_set
+from .plane import Circle, PlanePoint, circle, enumerate_circle
 
 
 def _odd_primes(limit: int) -> list[int]:
     return [p for p in primes_up_to(limit) if p != 2]
-
-
-def _unit_circle_classes(p: int):
-    """Residue-level data shared by all radii of a given prime field.
-
-    Returns (squares, first, second) where `first`/`second` hold the
-    unit-circle coordinates of the parametrized points whose t^2 + 1 is
-    a nonzero non-square / nonzero square; scaling by r produces the
-    radius-r classes because the parameter t is radius-independent.
-    """
-    squares = prime_square_values(p)
-    inv = [0] * p
-    if p > 1:
-        inv[1] = 1
-    for i in range(2, p):
-        inv[i] = -(p // i) * inv[p % i] % p
-    first, second = [], []
-    for t in range(p):
-        v = (t * t + 1) % p
-        if v == 0:
-            continue
-        w = inv[v]
-        pt = (2 * t * w % p, (t * t - 1) * w % p)
-        (second if v in squares else first).append(pt)
-    return squares, first, second
 
 
 def _is_two_clique_graph(p, squares, class_a, class_b):
@@ -79,15 +54,21 @@ def _is_two_clique_graph(p, squares, class_a, class_b):
 
 
 def prime_theorem_record(p: int, graph_max: int = 97) -> dict:
-    """Check the two-class theorem for every radius of one prime field."""
-    squares, first, second = _unit_circle_classes(p)
-    expected = (p - 1) // 2 if p % 4 == 1 else (p + 1) // 2
+    """Check the two-class theorem for every radius of one prime field.
+
+    The unit circle is partitioned once; scaling by r carries its two
+    classes (and its marker (0, 1)) to those of radius r, because
+    squared distances scale by the square r^2.
+    """
+    field = PrimeField(p)
+    first, second = _raw_partition(circle(field, (0, 0), 1))
+    squares = prime_square_values(p)
+    expected = cmaximal_cardinality(field, 1).n
     failure = None
     graph_checked = p <= graph_max
     for r in range(1, p):
         class_a = {(r * x % p, r * y % p) for x, y in first}
         class_b = {(r * x % p, r * y % p) for x, y in second}
-        class_b.add((0, r))
         if len(class_a) != expected or len(class_b) != expected:
             failure = {"r": r, "sizes": [len(class_a), len(class_b)]}
             break
@@ -149,17 +130,28 @@ def table_cell_record(field, radius) -> dict:
     grown = grow_maximal_set(c, seed)
     if answer.kind == "finite":
         expected_text = str(answer.n)
-        match = len(grown) == answer.n
+        checks = {"grown_size": len(grown) == answer.n}
     else:  # at_most_two (countably infinite never occurs on finite cells)
         expected_text = "<=2"
-        match = len(grown) <= 2 and (answer.witness is not None) == (len(grown) == 2)
-    return {
+        checks = {
+            "grown_size": len(grown) <= 2,
+            "witness": (answer.witness is not None) == (len(grown) == 2),
+        }
+    return _with_verdict({
         "field": field.to_text(),
         "radius": str(radius),
         "expected": expected_text,
         "grown": len(grown),
-        "match": match,
-    }
+    }, checks)
+
+
+def _with_verdict(record: dict, checks: dict) -> dict:
+    """Add `match` to a sweep record and, on a mismatch, the names of the failed checks."""
+    failed = [name for name, ok in checks.items() if not ok]
+    record["match"] = not failed
+    if failed:
+        record["failed"] = failed
+    return record
 
 
 def verify_cmax_table(cells=None) -> list[dict]:
@@ -180,35 +172,29 @@ def _mod4_record(field) -> dict:
     """
     order = field.order
     has_root = contains_sqrt_minus_one(field)
-    minus_one = -field.one
+    mul, neg, inv = field._mul, field._neg, field._inv
+    zero = field._zero
+    minus_one = neg(field._canon(1))
     visited = set()
     inadmissible = 0
     orbit_pairs = 0
     orbit_quads = 0
-    for t in field.elements():
-        if t.is_zero() or t in visited:
+    for t in field._raw_elements():
+        if t == zero or t in visited:
             continue
-        if t * t == minus_one:
+        if mul(t, t) == minus_one:
             visited.add(t)
             inadmissible += 1
             continue
-        inv = t.inverse()
-        orbit = {t, -t, inv, -inv}
+        t_inv = inv(t)
+        orbit = {t, neg(t), t_inv, neg(t_inv)}
         visited.update(orbit)
         if len(orbit) == 2:
             orbit_pairs += 1
         else:
             orbit_quads += 1
-    accounted = inadmissible + 2 * orbit_pairs + 4 * orbit_quads == order - 1
     orbit_conclusion = 1 if inadmissible == 2 else 3
-    match = (
-        accounted
-        and orbit_pairs == 1
-        and inadmissible in (0, 2)
-        and (inadmissible == 2) == has_root
-        and order % 4 == orbit_conclusion
-    )
-    return {
+    return _with_verdict({
         "field": field.to_text(),
         "order": order,
         "sqrt_minus_one": has_root,
@@ -216,8 +202,13 @@ def _mod4_record(field) -> dict:
         "pair_orbits": orbit_pairs,
         "quad_orbits": orbit_quads,
         "order_mod_4": order % 4,
-        "match": match,
-    }
+    }, {
+        "accounted": inadmissible + 2 * orbit_pairs + 4 * orbit_quads == order - 1,
+        "pair_orbits": orbit_pairs == 1,
+        "inadmissible": inadmissible in (0, 2),
+        "sqrt_minus_one": (inadmissible == 2) == has_root,
+        "order_mod_4": order % 4 == orbit_conclusion,
+    })
 
 
 def _extension_modulus(p: int) -> tuple[int, int]:

@@ -7,9 +7,9 @@ Two kinds live here:
   `squares_of`, `brute_circle_prime`, `quadratic_mul`,
   `quadratic_squared_distance`, `brute_circle_quadratic`,
   `rationality_graph_prime`, `connected_components`,
-  `perfect_distances_by_triangles`, `rot_mul_residues`,
-  `rot_pow_residues`, `fraction_is_square`, and the Gaussian-integer
-  branch of `identity_power_sweep` over Q.
+  `rational_triangle_sides`, `perfect_distances_by_triangles`,
+  `rot_mul_residues`, `rot_pow_residues`, `fraction_is_square`, and the
+  Gaussian-integer branch of `identity_power_sweep` over Q.
 * Exhaustive scans that drive the library's own field elements, points
   and products, checking a global property the library decides by a
   theorem or a closed form: `brute_circle_field`, `iterated_rot_pow`,
@@ -120,26 +120,36 @@ def connected_components(adj: list) -> list:
     return comps
 
 
-def perfect_distances_by_triangles(p: int, r: int) -> set:
-    """Perfect distances of C((0,0), r) over F_p by exhaustive triangles.
+def rational_triangle_sides(points, distance, rational) -> set:
+    """Perfect distances of a finite circle, given all its points, by exhaustive triangles.
 
     A squared-distance value is collected when it joins two points of
-    some triangle whose three pairwise distances are all squares.
+    some triangle whose three pairwise distances are all rational.
+    `distance(a, b)` and `rational(value)` supply the field's arithmetic.
     """
-    pts = sorted(brute_circle_prime(p, 0, 0, r))
-    sq = squares_of(p)
+    pts = sorted(points)
     n = len(pts)
-    adj = rationality_graph_prime(p, pts)
-    out = set()
+    adj = [0] * n
     for i in range(n):
         for j in range(i + 1, n):
-            if not adj[i] >> j & 1:
-                continue
-            if adj[i] & adj[j] & ~(1 << i) & ~(1 << j):
-                xi, yi = pts[i]
-                xj, yj = pts[j]
-                out.add(((xi - xj) ** 2 + (yi - yj) ** 2) % p)
-    return out
+            if rational(distance(pts[i], pts[j])):
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return {
+        distance(pts[i], pts[j])
+        for i in range(n)
+        for j in range(i + 1, n)
+        if adj[i] >> j & 1 and adj[i] & adj[j]
+    }
+
+
+def perfect_distances_by_triangles(p: int, r: int) -> set:
+    """Perfect distances of C((0,0), r) over F_p by exhaustive triangles."""
+    return rational_triangle_sides(
+        brute_circle_prime(p, 0, 0, r),
+        lambda a, b: ((a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2) % p,
+        squares_of(p).__contains__,
+    )
 
 
 def rot_mul_residues(p: int, r: int, a: tuple, b: tuple) -> tuple:

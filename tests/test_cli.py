@@ -6,7 +6,9 @@ import sys
 import pytest
 
 import circlering
+from circlering import cli, sweeps
 from circlering.cli import main
+from circlering.maximal import CardinalityAnswer
 
 
 def run_cli(capsys, *argv):
@@ -68,6 +70,68 @@ def test_verify_prime_theorem_parallel(capsys):
     assert code == 0
     ps = [json.loads(line)["p"] for line in out.strip().splitlines()[:-1]]
     assert ps == sorted(ps)
+
+
+def test_verify_prime_theorem_pool_size(capsys, monkeypatch):
+    # the pool gets at most one worker per prime and per CPU, whatever --parallel asks
+    sizes = []
+
+    class FakePool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, fn, args):
+            return [fn(*a) for a in args]
+
+    monkeypatch.setattr(cli, "Pool", FakePool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    code, out, _ = run_cli(capsys, "verify", "prime-theorem", "--pmax", "30", "--parallel", "1000")
+    assert code == 0 and sizes == [9]  # the odd primes up to 30
+    assert json.loads(out.strip().splitlines()[-1])["summary"]["records"] == 9
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    run_cli(capsys, "verify", "prime-theorem", "--pmax", "30", "--parallel", "1000")
+    assert sizes == [9, 2]
+    for bad in ("0", "-3"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "prime-theorem", "--pmax", "30", "--parallel", bad])
+        assert exc.value.code == 2
+    assert sizes == [9, 2]
+
+
+def test_mismatch_names_failed_check(capsys, monkeypatch):
+    code, out, _ = run_cli(capsys, "verify", "mod4", "--pmax", "30")
+    assert code == 0 and '"failed"' not in out
+    monkeypatch.setattr(sweeps, "contains_sqrt_minus_one", lambda field: False)
+    code, out, _ = run_cli(capsys, "verify", "mod4", "--pmax", "30")
+    records = [json.loads(line) for line in out.strip().splitlines()[:-1]]
+    assert code == 1
+    for rec in records:
+        if rec["order"] % 4 == 1:
+            assert not rec["match"] and rec["failed"] == ["sqrt_minus_one"], rec
+        else:
+            assert rec["match"] and "failed" not in rec, rec
+    # a cardinality table whose finite cells claim one point too many
+    claim = sweeps.cmaximal_cardinality
+
+    def one_too_many(field, r):
+        answer = claim(field, r)
+        return CardinalityAnswer("finite", answer.n + 1) if answer.kind == "finite" else answer
+
+    monkeypatch.setattr(sweeps, "cmaximal_cardinality", one_too_many)
+    code, out, _ = run_cli(capsys, "verify", "table")
+    records = [json.loads(line) for line in out.strip().splitlines()[:-1]]
+    assert code == 1
+    for rec in records:
+        if rec["expected"] == "<=2":
+            assert rec["match"] and "failed" not in rec, rec
+        else:
+            assert not rec["match"] and rec["failed"] == ["grown_size"], rec
 
 
 def test_verify_table(capsys):

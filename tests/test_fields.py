@@ -87,6 +87,36 @@ def test_descriptor_construction_rejects_bad_input():
     assert accepted == [(1, 1)]
 
 
+def test_modulus_size_cap(monkeypatch, capsys):
+    # past 4096 bits a modulus is refused before any primality test runs
+    from circlering import fields, keyex
+    from circlering.cli import main
+    from circlering.errors import MalformedMessage
+
+    def no_primality_test(n):
+        raise AssertionError("is_prime ran on an oversized modulus")
+
+    monkeypatch.setattr(fields, "is_prime", no_primality_test)
+    m4423 = 2**4423 - 1  # a Mersenne prime
+    with pytest.raises(ValueError, match="4423-bit"):
+        PrimeField(m4423)
+    with pytest.raises(ValueError, match="4423-bit"):
+        QuadraticExtension(m4423, (1, 0))
+    with pytest.raises(ValueError, match="4423-bit"):
+        parse_descriptor(f"Fp:{m4423}")
+    assert main(["circle", "enum", "--field", f"Fp:{m4423}", "--radius", "1"]) == 2
+    assert "4423-bit" in capsys.readouterr().err
+    message = (keyex.MAGIC + bytes([keyex.WIRE_VERSION, keyex._TAG_ELEMENT, keyex._KIND_PRIME])
+               + keyex._pack_uint(m4423) + keyex._pack_uint(1))
+    with pytest.raises(MalformedMessage, match="4423-bit"):
+        keyex.decode(message)
+    # the cap is on the bit length: 4096 bits pass on to the primality test
+    monkeypatch.setattr(fields, "is_prime", lambda n: True)
+    assert PrimeField(2**4096 - 1).p == 2**4096 - 1
+    with pytest.raises(ValueError, match="4097-bit"):
+        PrimeField(2**4096 + 1)
+
+
 def test_extension_work_is_polynomial_in_log_p():
     # run apart so that a construction linear in p fails on the timeout instead of hanging
     script = (

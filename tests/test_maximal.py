@@ -2,7 +2,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import islice
+from itertools import combinations, islice, product
 
 import pytest
 
@@ -49,8 +49,11 @@ from oracles import (
     connected_components,
     perfect_distances_by_triangles,
     points_have_uniformity,
+    quadratic_mul,
     quadratic_squared_distance,
+    rational_triangle_sides,
     rationality_graph_prime,
+    squares_of,
 )
 
 F3 = PrimeField(3)
@@ -151,11 +154,44 @@ def test_perfect_distances_golden():
 
 
 def test_perfect_distances_match_triangle_oracle():
+    # the perfect distances, and whether 4r^2 is one and its witness, against
+    # exhaustive rational triangles in the oracles' own arithmetic
+    cases = []
     for p in [p for p in primes_up_to(31) if p % 2]:
-        field = PrimeField(p)
-        for r in range(1, p):
-            got = {q.value for q in perfect_distances(circle(field, (0, 0), r))}
-            assert got == perfect_distances_by_triangles(p, r), (p, r)
+        sq = squares_of(p)
+        for center in ((0, 0), (1, 2)):
+            for r in range(1, p):
+                cases.append((circle(PrimeField(p), center, r), brute_circle_prime(p, *center, r),
+                              lambda a, b, p=p: ((a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2) % p,
+                              sq.__contains__, 4 * r * r % p))
+    for field in (QuadraticExtension(3, (1, 0)), QuadraticExtension(5, (3, 0))):
+        p, f = field.p, (field.f0, field.f1)
+        sq = squares_of(p)
+        for center in (((0, 0), (0, 0)), ((1, 0), (2, 0))):
+            for r in product(range(p), repeat=2):
+                r2 = quadratic_mul(p, f, r, r)
+                if r == (0, 0) or r2[1]:  # r^2 outside the prime subfield
+                    continue
+                cases.append((circle(field, center, r), brute_circle_quadratic(p, f, center, r),
+                              lambda a, b, p=p, f=f: quadratic_squared_distance(p, f, a, b),
+                              lambda v, sq=sq: v[1] == 0 and v[0] in sq,
+                              quadratic_mul(p, f, (4, 0), r2)))
+    without_4r2 = set()
+    for c, pts, distance, rational, four_r2 in cases:
+        expected = rational_triangle_sides(pts, distance, rational)
+        assert {q.value for q in perfect_distances(c)} == expected, c
+        assert is_perfect_distance(c, four_r2) == (four_r2 in expected), c
+        witness = perfect_distance_report(c, four_r2).witness
+        if four_r2 not in expected:
+            assert witness is None, c
+            without_4r2.add((c.field.to_text(), str(c.radius)))
+            continue
+        raw = [(w.x.value, w.y.value) for w in witness]
+        sides = [distance(a, b) for a, b in combinations(raw, 2)]
+        assert len(set(raw)) == 3 and set(raw) <= pts, c
+        assert all(map(rational, sides)) and four_r2 in sides, c
+    # r^2 = 1 over F_5, F_9 and F_25: no parametrized perfect distance, so no 4r^2 either
+    assert {("Fp:5", "1"), ("Fp2:3,x^2+1", "1"), ("Fp2:5,x^2+3", "1")} <= without_4r2
 
 
 def test_perfect_witnesses_are_rational_triangles():
