@@ -20,8 +20,10 @@ from .errors import (
     NotCoprime,
     NotPerfect,
     ParameterSquaresToMinusOne,
+    ParseError,
     PointNotOnCircle,
     RadiusSquaredNotInPrimeField,
+    ResultTooLarge,
     VersionMismatch,
     WrongFieldKind,
     ZeroRadius,

@@ -11,10 +11,11 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from multiprocessing import Pool
 
 from . import keyex, maximal, rotation, sweeps
-from .errors import CircleRingError
+from .errors import CircleRingError, ParseError
 from .fields import parse_descriptor
 from .keyex import _point_json
 from .plane import Circle, PlanePoint, enumerate_circle
@@ -53,8 +54,26 @@ def _parse_point(field, text: str) -> PlanePoint:
     try:
         x_txt, y_txt = text.split(",")
     except ValueError:
-        raise ValueError(f"expected 'x,y', got {text!r}") from None
+        raise ParseError(f"expected 'x,y', got {text!r}") from None
     return PlanePoint(field.parse(x_txt), field.parse(y_txt))
+
+
+@contextmanager
+def _long_ints_printable():
+    """Lift Python's int->str digit limit (4300 digits) while a result is formatted.
+
+    Parsing keeps the limit; the size of a result over Q is bounded by
+    rotation's cap instead.  Interpreters without the limit skip this.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _parse_circle(args) -> Circle:
@@ -206,10 +225,11 @@ def _cmd_rot(args) -> int:
     else:  # order
         _emit({"order": rotation.element_order(a), "checks": {"on_circle": True}}, args.pretty)
         return 0
-    doc = {
-        "result": None if result is None else _point_json(result.point),
-        "checks": {"on_circle": result is None or a.circle.contains(result.point)},
-    }
+    with _long_ints_printable():
+        doc = {
+            "result": None if result is None else _point_json(result.point),
+            "checks": {"on_circle": result is None or a.circle.contains(result.point)},
+        }
     _emit(doc, args.pretty)
     return 0
 
@@ -225,7 +245,8 @@ def _cmd_keyex_demo(args) -> int:
     seed_a = args.seed_a if args.seed_a is not None else _env_seed()
     seed_b = args.seed_b if args.seed_b is not None else _env_seed() + 1
     transcript = keyex.simulate_exchange(params, seed_a, seed_b, dlog_cap=args.dlog_cap)
-    doc = transcript.to_json_dict()
+    with _long_ints_printable():
+        doc = transcript.to_json_dict()
     if args.dlog_cap:
         doc.setdefault("dlog_iterations", None)
         doc["dlog_cap"] = args.dlog_cap

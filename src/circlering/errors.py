@@ -80,3 +80,11 @@ class MalformedMessage(CircleRingError, ValueError):
 
 class VersionMismatch(CircleRingError, ValueError):
     """Serialized buffer uses an unsupported wire version."""
+
+
+class ResultTooLarge(CircleRingError, ValueError):
+    """A result would exceed a size cap; refused before any work."""
+
+
+class ParseError(CircleRingError, ValueError):
+    """Text does not name a field, an element or a point."""

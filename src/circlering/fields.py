@@ -23,6 +23,7 @@ test behind every prime modulus (exact below psi_13 =
 import itertools
 import math
 import re
+import reprlib
 from bisect import bisect_right
 from fractions import Fraction
 
@@ -32,6 +33,7 @@ from .errors import (
     FactorBoundExceeded,
     InfiniteField,
     NotASquare,
+    ParseError,
 )
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -340,7 +342,11 @@ class FieldDescriptor:
         raise InfiniteField(f"{self} is infinite")
 
     def parse(self, text: str) -> FieldElement:
-        return FieldElement(self, self._parse(text))
+        """The element written as `text`; ParseError when it names none."""
+        try:
+            return FieldElement(self, self._parse(text))
+        except (ValueError, ZeroDivisionError) as exc:  # Fraction("1/0") divides by zero
+            raise ParseError(f"cannot parse {reprlib.repr(text)} as an element of {self}: {exc}") from None
 
     def to_text(self) -> str:
         raise NotImplementedError
@@ -611,7 +617,7 @@ class QuadraticExtension(FieldDescriptor):
             return (int(s) % self.p, 0)
         m = self._ELT_RE.match(s)
         if not m or m.group("c1") is None:
-            raise ValueError(f"cannot parse {text!r} as an element of {self}")
+            raise ValueError("expected c0+c1a")
         c0 = int(m.group("c0")) if m.group("c0") else 0
         c1_txt = m.group("c1")
         c1 = 1 if c1_txt in ("", "+") else -1 if c1_txt == "-" else int(c1_txt)
@@ -714,26 +720,32 @@ def contains_sqrt_minus_one(field: FieldDescriptor) -> bool:
 
 
 def parse_descriptor(text: str) -> FieldDescriptor:
-    """Parse the descriptor syntax ``Fp:7``, ``Fp2:7,x^2+1``, or ``Q``."""
-    s = text.strip()
+    """Parse the descriptor syntax ``Fp:7``, ``Fp2:7,x^2+1``, or ``Q``.
+
+    Raises ParseError for text that names no supported field: bad
+    syntax, a composite or oversized p, a reducible modulus.
+    """
+    try:
+        return _parse_descriptor(text.strip())
+    except ValueError as exc:
+        raise ParseError(f"bad field descriptor {reprlib.repr(text)}: {exc}") from None
+
+
+def _parse_descriptor(s: str) -> FieldDescriptor:
     if s == "Q":
         return Rationals()
     if s.startswith("Fp2:"):
-        body = s[4:]
-        try:
-            p_txt, poly = body.split(",", 1)
-        except ValueError:
-            raise ValueError(f"bad quadratic descriptor {text!r}") from None
+        p_txt, comma, poly = s[4:].partition(",")
         m = _POLY_RE.match(poly.replace(" ", ""))
-        if not m:
-            raise ValueError(f"bad modulus polynomial in {text!r}")
+        if not comma or not m:
+            raise ValueError("expected Fp2:p,x^2+c1x+c0")
         c1_txt = m.group("c1")
         c1 = 0 if c1_txt is None else (1 if c1_txt == "" else int(c1_txt))
         c0 = int(m.group("c0") or 0)
         return QuadraticExtension(int(p_txt), (c0, c1))
     if s.startswith("Fp:"):
         return PrimeField(int(s[3:]))
-    raise ValueError(f"unknown field descriptor {text!r}")
+    raise ValueError("expected Fp:p, Fp2:p,x^2+c1x+c0 or Q")
 
 
 def prime_square_values(p: int) -> frozenset:

@@ -33,7 +33,7 @@ from .plane import Circle, PlanePoint
 from .rotation import (
     RotationElement,
     _raw,
-    _raw_product,
+    _torus,
     classify_cyclicity,
     element_order,
     rot_pow,
@@ -112,18 +112,20 @@ def brute_force_dlog(base: RotationElement, target: RotationElement, cap: int) -
     """Iterations of repeated multiplication needed to hit `target` (<= cap).
 
     None when no power base^k with k <= cap equals the target, and so
-    always for a target on another circle.  The products are taken on
-    raw coordinate pairs.
+    always for a target on another circle.  The products and comparisons
+    are taken on the circle's torus values (one field product per step
+    where -1 is a square).
     """
     if target.circle != base.circle:
         return None
-    product = _raw_product(base.circle)
-    step, goal = _raw(base.point), _raw(target.point)
+    t = _torus(base.field, base.circle.radius.value)
+    mul, same = t.mul, t.same
+    step, goal = t.to_torus(_raw(base.point)), t.to_torus(_raw(target.point))
     acc = step
     for k in range(1, cap + 1):
-        if acc == goal:
+        if same(acc, goal):
             return k
-        acc = product(acc, step)
+        acc = mul(acc, step)
     return None
 
 

@@ -6,29 +6,49 @@ Points of C((0,0), r) form an abelian group under
 
 with identity (r, 0) and inverse (a1, -a2): the product of the norm-1
 elements (a1 + i a2)/r of F[i].  This module implements the product,
-powers (square-and-multiply over the product of raw coordinate pairs),
-square roots (tied to perfect distances over prime fields), element
-orders, and the cyclic/acyclic classification of rational points via
-Gaussian integers.
+powers, square roots (tied to perfect distances over prime fields),
+element orders, and the cyclic/acyclic classification of rational
+points via Gaussian integers.
 
-Products, powers and searches work on raw coordinate pairs (the
-fields' own values, no FieldElement objects), so no intermediate
-product is checked.  Every element the module returns is built by
-`RotationElement`, which checks once, when the result is wrapped, that
-the point lies on the circle.
+Products, powers, orders and searches run on the circle's torus, one
+representative per field kind, chosen once per circle:
+
+* -1 = s^2 (F_p with p = 1 mod 4, every F_{p^2} of odd p): u = (x + s y)/r
+  is a group isomorphism onto F^x, so a product is one product of F and
+  a power one power of F (the builtin pow over F_p).
+* -1 not a square (F_p with p = 3 mod 4, and Q): w = (r + x) - i y up to
+  a scalar of F has (x + i y)/r = conj(w)/w (Hilbert 90), so a product
+  is the Gaussian product of integer pairs, reduced mod p over F_p and
+  never reduced over Q; (-r, 0) maps to i.
+* characteristic 2: x + y = r on the circle and the product adds the y
+  coordinates, so the group is (F, +) through y.
+
+Each map is a bijection onto its torus with an exact inverse in the
+field's own arithmetic (the classes below give both), so every result
+equals the defining product's.  Intermediate values are not checked;
+only the result is mapped back and wrapped by `RotationElement`, which
+checks once that the point lies on the circle.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CircleMismatch, FactorBoundExceeded, NotCoprime, WrongFieldKind
+from .errors import (
+    CircleMismatch,
+    FactorBoundExceeded,
+    NotCoprime,
+    ResultTooLarge,
+    WrongFieldKind,
+)
 from .fields import (
     _TRIAL_BOUND,
     PrimeField,
     Rationals,
     _power,
     _trial_division,
+    contains_sqrt_minus_one,
     is_prime,
 )
 from .maximal import is_perfect_distance
@@ -102,28 +122,176 @@ def identity_element(circle: Circle) -> RotationElement:
     return RotationElement(circle, PlanePoint(circle.radius, circle.field.zero))
 
 
-def _raw_identity(circle: Circle) -> tuple:
-    return circle.radius.value, circle.field._zero
+# Largest estimated bit size of a power over Q.  A power's coordinates have
+# about n log2 N(w) bits (see _RationalTorus); near 2^18 bits the CLI
+# computes, checks and prints one in about 1.5 s (CPython 3.11)
+_Q_POWER_BITS_CAP = 2**18
 
 
-def _raw_product(circle: Circle):
-    """The rotation product of `circle` as a function of two raw coordinate pairs.
+class _SplitTorus:
+    """-1 = s^2 in F: u = (x + s y)/r is an isomorphism onto F^x.
 
-    r^-1 is computed here, once; the returned function only multiplies
-    and adds with the field's raw operations and checks nothing.
+    u (x - s y)/r = (x^2 + y^2)/r^2 = 1, so u is never 0; the rotation
+    product is the product of F and a power is the field's power.  The
+    way back is x = r(u + 1/u)/2, y = r(u - 1/u)/(2s).
     """
-    field = circle.field
-    mul, add, sub = field._mul, field._add, field._sub
-    r_inv = field._inv(circle.radius.value)
 
-    def product(a: tuple, b: tuple) -> tuple:
-        (a1, a2), (b1, b2) = a, b
-        return (
-            mul(sub(mul(a1, b1), mul(a2, b2)), r_inv),
-            mul(add(mul(a1, b2), mul(a2, b1)), r_inv),
-        )
+    def __init__(self, field, r):
+        mul, inv = field._mul, field._inv
+        self.one = field._canon(1)
+        self.mul, self.pow = mul, field._pow
+        self._field = field
+        s = field._sqrt(field._neg(self.one))
+        self._s, self._r_inv = s, inv(r)
+        self._half_r = mul(r, inv(field._canon(2)))
+        self._half_r_over_s = mul(self._half_r, inv(s))
 
-    return product
+    def to_torus(self, xy: tuple):
+        f = self._field
+        return f._mul(f._add(xy[0], f._mul(self._s, xy[1])), self._r_inv)
+
+    def from_torus(self, u) -> tuple:
+        f = self._field
+        u_inv = f._inv(u)
+        return f._mul(self._half_r, f._add(u, u_inv)), f._mul(self._half_r_over_s, f._sub(u, u_inv))
+
+    @staticmethod
+    def same(u, v) -> bool:
+        return u == v
+
+
+class _GaussianTorus:
+    """-1 not a square in F_p: w = (r + x) - i y in F_p[i], up to a scalar of F_p.
+
+    (x + i y)/r = conj(w)/w (Hilbert 90), so the rotation product is the
+    Gaussian product of integer pairs (a, b) = a + i b, reduced mod p;
+    (-r, 0), where r + x and y vanish, maps to i.  Pairs are compared
+    projectively.  The way back is x = r(a^2 - b^2)/(a^2 + b^2),
+    y = -2abr/(a^2 + b^2); a^2 + b^2 != 0 because -1 is not a square.
+    """
+
+    one = (1, 0)
+
+    def __init__(self, field, r):
+        self._p = p = field.p
+        self._r = r
+
+        def mul(s: tuple, t: tuple) -> tuple:
+            (a, b), (c, d) = s, t
+            return (a * c - b * d) % p, (a * d + b * c) % p
+
+        self.mul = mul
+
+    def pow(self, w: tuple, n: int) -> tuple:
+        return _power(self.mul, self.one, w, n)
+
+    def same(self, s: tuple, t: tuple) -> bool:
+        return (s[0] * t[1] - s[1] * t[0]) % self._p == 0
+
+    def to_torus(self, xy: tuple) -> tuple:
+        p = self._p
+        a = (self._r + xy[0]) % p
+        return (a, -xy[1] % p) if a else (0, 1)
+
+    def from_torus(self, w: tuple) -> tuple:
+        p, (a, b) = self._p, w
+        r_over_norm = self._r * pow(a * a + b * b, -1, p)
+        return (a * a - b * b) * r_over_norm % p, -2 * a * b * r_over_norm % p
+
+
+class _RationalTorus:
+    """Over Q: the pair w scaled to coprime integers and never reduced.
+
+    The Gaussian product runs on plain integers, so no Fraction is built
+    inside a loop; each coordinate of the way back is one Fraction.  A
+    power's coordinates have about n log2(a^2 + b^2) bits, which is
+    checked against _Q_POWER_BITS_CAP before computing.
+    """
+
+    one = (1, 0)
+
+    def __init__(self, field, r):
+        self._r = r
+
+        def mul(s: tuple, t: tuple) -> tuple:
+            (a, b), (c, d) = s, t
+            return a * c - b * d, a * d + b * c
+
+        self.mul = mul
+
+    def pow(self, w: tuple, n: int) -> tuple:
+        norm = w[0] * w[0] + w[1] * w[1]
+        if norm <= 2:
+            n %= 4  # the axis points, of order 1, 2 or 4
+        if n * norm.bit_length() > _Q_POWER_BITS_CAP:
+            raise ResultTooLarge(
+                f"a {n}-th power over Q would have about {n * norm.bit_length()} bits, "
+                f"above the cap of {_Q_POWER_BITS_CAP}"
+            )
+        return _power(self.mul, self.one, w, n)
+
+    def same(self, s: tuple, t: tuple) -> bool:
+        return s[0] * t[1] == s[1] * t[0]
+
+    def to_torus(self, xy: tuple) -> tuple:
+        # (r + x, -y) times the common denominator rd xd yd
+        (x, y), r = xy, self._r
+        a = (r.numerator * x.denominator + x.numerator * r.denominator) * y.denominator
+        if not a:
+            return 0, 1
+        b = -y.numerator * r.denominator * x.denominator
+        g = math.gcd(a, b)
+        return a // g, b // g
+
+    def from_torus(self, w: tuple) -> tuple:
+        (a, b), r = w, self._r
+        den = r.denominator * (a * a + b * b)
+        return Fraction(r.numerator * (a * a - b * b), den), Fraction(-2 * a * b * r.numerator, den)
+
+
+class _AdditiveTorus:
+    """Characteristic 2: x + y = r on the circle, and the product's y is y_a + y_b.
+
+    So the group is (F, +) through y, and a^n is a for odd n and the
+    identity (r, 0) for even n.
+    """
+
+    def __init__(self, field, r):
+        self.one = field._zero
+        self.mul = field._add
+        self._field, self._r = field, r
+
+    def pow(self, y, n: int):
+        return y if n & 1 else self.one
+
+    @staticmethod
+    def same(y, z) -> bool:
+        return y == z
+
+    @staticmethod
+    def to_torus(xy: tuple):
+        return xy[1]
+
+    def from_torus(self, y) -> tuple:
+        return self._field._add(self._r, y), y
+
+
+@functools.lru_cache(maxsize=64)
+def _torus(field, r):
+    """The rotation group of C((0,0), r) over `field` as a torus, built once per circle.
+
+    `r` is the radius as a raw value.  Every product, power and
+    comparison of the module runs on torus values: to_torus maps a raw
+    point there, mul/pow/same work there, and from_torus maps back to a
+    raw point.
+    """
+    if field.characteristic == 2:
+        return _AdditiveTorus(field, r)
+    if not field.is_finite():
+        return _RationalTorus(field, r)
+    if contains_sqrt_minus_one(field):
+        return _SplitTorus(field, r)
+    return _GaussianTorus(field, r)
 
 
 def _element(circle: Circle, raw: tuple) -> RotationElement:
@@ -135,18 +303,23 @@ def rot_mul(a: RotationElement, b: RotationElement) -> RotationElement:
     """The rotation product of two elements of the same circle group."""
     if a.circle != b.circle:
         raise CircleMismatch(f"elements of {a.circle} and {b.circle}")
-    return _element(a.circle, _raw_product(a.circle)(_raw(a.point), _raw(b.point)))
+    c = a.circle
+    t = _torus(c.field, c.radius.value)
+    return _element(c, t.from_torus(t.mul(t.to_torus(_raw(a.point)), t.to_torus(_raw(b.point)))))
 
 
 def rot_pow(a: RotationElement, n: int) -> RotationElement:
-    """n-th power by square-and-multiply on raw pairs; a^0 is the identity (r, 0).
+    """n-th power, taken on the circle's torus; a^0 is the identity (r, 0).
 
     Only the result is wrapped, and so checked, as a RotationElement.
+    Over Q, ResultTooLarge is raised before computing when the power's
+    coordinates would have more than about 2^18 bits.
     """
     if not isinstance(n, int) or n < 0:
         raise ValueError("exponent must be a nonnegative integer")
     c = a.circle
-    return _element(c, _power(_raw_product(c), _raw_identity(c), _raw(a.point), n))
+    t = _torus(c.field, c.radius.value)
+    return _element(c, t.from_torus(t.pow(t.to_torus(_raw(a.point)), n)))
 
 
 def induced_squared_distance(a: RotationElement):
@@ -155,9 +328,9 @@ def induced_squared_distance(a: RotationElement):
 
 
 def _exhaustive_sqrt(a: RotationElement):
-    product = _raw_product(a.circle)
-    target = _raw(a.point)
-    roots = [b for b in _raw_circle_points(a.circle) if product(b, b) == target]
+    t = _torus(a.field, a.circle.radius.value)
+    target = t.to_torus(_raw(a.point))
+    roots = [b for b in _raw_circle_points(a.circle) if t.same(t.pow(t.to_torus(b), 2), target)]
     # the least root in PlanePoint.sort_key order, which is raw order
     return _element(a.circle, roots[0]) if roots else None
 
@@ -197,8 +370,9 @@ def rot_sqrt(a: RotationElement, unchecked: bool = False) -> RotationElement | N
     b2 = (induced / four).sqrt()
     b1 = r * a.point.y / (field.from_int(2) * b2)
     b = RotationElement(a.circle, PlanePoint(b1, b2))
-    root = _raw(b.point)
-    if _raw_product(a.circle)(root, root) != _raw(a.point):
+    t = _torus(a.field, a.circle.radius.value)
+    root = t.to_torus(_raw(b.point))
+    if not t.same(t.mul(root, root), t.to_torus(_raw(a.point))):
         raise AssertionError(f"square-root construction failed for {a}")
     return b
 
@@ -232,10 +406,11 @@ def element_order(a: RotationElement) -> int:
     if not a.field.is_finite():
         raise WrongFieldKind("element orders over Q come from classify_cyclicity")
     c = a.circle
-    product, one, x = _raw_product(c), _raw_identity(c), _raw(a.point)
+    t = _torus(c.field, c.radius.value)
+    x = t.to_torus(_raw(a.point))
     order = group_order(c)
     for p in _factorize(order):
-        while order % p == 0 and _power(product, one, x, order // p) == one:
+        while order % p == 0 and t.same(t.pow(x, order // p), t.one):
             order //= p
     return order
 

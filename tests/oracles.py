@@ -8,8 +8,9 @@ Two kinds live here:
   `quadratic_squared_distance`, `brute_circle_quadratic`,
   `rationality_graph_prime`, `connected_components`,
   `rational_triangle_sides`, `perfect_distances_by_triangles`,
-  `rot_mul_residues`, `rot_pow_residues`, `fraction_is_square`, and the
-  Gaussian-integer branch of `identity_power_sweep` over Q.
+  `rot_mul_residues`, `rot_pow_residues`, `rot_mul_fractions`,
+  `square_and_multiply`, `fraction_is_square`, and the Gaussian-integer
+  branch of `identity_power_sweep` over Q.
 * Exhaustive scans that drive the library's own field elements, points
   and products, checking a global property the library decides by a
   theorem or a closed form: `brute_circle_field`, `iterated_rot_pow`,
@@ -165,6 +166,23 @@ def rot_pow_residues(p: int, r: int, a: tuple, n: int) -> tuple:
     for _ in range(n):
         acc = rot_mul_residues(p, r, acc, a)
     return acc
+
+
+def rot_mul_fractions(r: Fraction, a: tuple, b: tuple) -> tuple:
+    """Rotation product on C((0,0), r) over Q, from the defining formula on Fractions."""
+    (a1, a2), (b1, b2) = a, b
+    return (a1 * b1 - a2 * b2) / r, (a1 * b2 + a2 * b1) / r
+
+
+def square_and_multiply(mul, identity, a, n: int):
+    """a^n for n >= 0 over the product `mul`, by binary exponentiation."""
+    result = identity
+    while n:
+        if n & 1:
+            result = mul(result, a)
+        a = mul(a, a)
+        n >>= 1
+    return result
 
 
 def iterated_rot_pow(element, n: int):

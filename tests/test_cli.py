@@ -105,6 +105,22 @@ def test_verify_prime_theorem_pool_size(capsys, monkeypatch):
 
 
 def test_mismatch_names_failed_check(capsys, monkeypatch):
+    # a partition that moves one point between the classes: the record
+    # reports the measured class size, not the theorem's
+    partition = sweeps._raw_partition
+
+    def uneven(c):
+        first, second = partition(c)
+        return first + second[:1], second[1:]
+
+    monkeypatch.setattr(sweeps, "_raw_partition", uneven)
+    code, out, _ = run_cli(capsys, "verify", "prime-theorem", "--pmax", "13")
+    records = [json.loads(line) for line in out.strip().splitlines()[:-1]]
+    assert code == 1
+    for rec in records:
+        assert not rec["match"] and rec["class_size"] == rec["expected"] + 1, rec
+        assert rec["counterexample"]["sizes"] == [rec["expected"] + 1, rec["expected"] - 1]
+    monkeypatch.setattr(sweeps, "_raw_partition", partition)
     code, out, _ = run_cli(capsys, "verify", "mod4", "--pmax", "30")
     assert code == 0 and '"failed"' not in out
     monkeypatch.setattr(sweeps, "contains_sqrt_minus_one", lambda field: False)
@@ -193,6 +209,13 @@ def test_usage_errors(capsys):
     assert code == 2 and "InfiniteField" in err
     code, _, err = run_cli(capsys, "circle", "enum", "--field", "Fp:7", "--radius", "0")
     assert code == 2 and "ZeroRadius" in err
+    # text that names no element is a ParseError, not a bare ValueError
+    for field in ("Fp:7", "Q"):
+        code, _, err = run_cli(capsys, "circle", "enum", "--field", field, "--center", "1/0,0",
+                               "--radius", "1")
+        assert code == 2 and "error: ParseError" in err, err
+    code, _, err = run_cli(capsys, "circle", "enum", "--field", "Fp:7", "--radius", "1" * 5000)
+    assert code == 2 and "error: ParseError" in err and len(err) < 500, err
     with pytest.raises(SystemExit) as exc:
         main(["circle", "bogus"])
     assert exc.value.code == 2
@@ -206,6 +229,21 @@ def test_enumeration_cap():
         argv = [sys.executable, "-c", script, *cmd, "--field", "Fp:2305843009213693951", "--radius", "1"]
         done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=5)
         assert done.returncode == 2 and "CircleTooLarge" in done.stderr, (cmd, done.stderr)
+
+
+def test_size_caps_refuse_at_once():
+    # a Q power of about 3 * 10^9 bits and sweeps to 10^9 exit 2 before any work
+    script = "import sys; from circlering.cli import main; sys.exit(main(sys.argv[1:]))"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(circlering.__file__)))
+    for cmd, error in (
+        (["rot", "pow", "--field", "Q", "--radius", "1", "--point", "3/5,4/5", "--exp", "1000000000"],
+         "ResultTooLarge"),
+        (["verify", "mod4", "--pmax", "1000000000"], "ResultTooLarge"),
+        (["verify", "prime-theorem", "--pmax", "1000000000"], "ResultTooLarge"),
+    ):
+        done = subprocess.run([sys.executable, "-c", script, *cmd], env=env, capture_output=True,
+                              text=True, timeout=5)
+        assert done.returncode == 2 and f"error: {error}" in done.stderr, (cmd, done.stderr)
 
 
 def test_config_file(capsys, tmp_path):
@@ -251,3 +289,10 @@ def test_keyex_demo_over_q(capsys):
                            "--exp-cap", "32")
     assert code == 0
     assert json.loads(out)["equal"] is True
+    # at the default exponent cap the shared secret has more than the 4300
+    # digits Python converts to text by default; it is printed all the same
+    code, out, err = run_cli(capsys, "keyex", "demo", "--field", "Q", "--radius", "1",
+                             "--point", "20/29,21/29", "--seed-a", "6", "--seed-b", "46")
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["equal"] is True and len(doc["shared_a"]["x"]) > 4300

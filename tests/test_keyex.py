@@ -106,8 +106,9 @@ def test_brute_force_dlog_cost():
     assert rot_pow(BASE13, iters) == a.sent
     t = simulate_exchange(params, 1, 2, dlog_cap=20)
     assert t.dlog_iterations is not None
-    # every base and target of small circles: the least k <= cap with base^k = target
-    for p in (13, 17):
+    # every base and target of small circles, where -1 is a square (13, 17) and
+    # where it is not (19): the least k <= cap with base^k = target
+    for p in (13, 17, 19):
         for r in (1, 2):
             c = circle(PrimeField(p), (0, 0), r)
             points = [(q.x.value, q.y.value) for q in enumerate_circle(c)]

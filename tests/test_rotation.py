@@ -11,6 +11,7 @@ from circlering.errors import (
     DescriptorMismatch,
     NotCoprime,
     PointNotOnCircle,
+    ResultTooLarge,
     WrongFieldKind,
 )
 from circlering.fields import PrimeField, QuadraticExtension, Rationals, primes_up_to
@@ -30,7 +31,14 @@ from circlering.rotation import (
     rotation_element,
 )
 
-from oracles import identity_power_sweep, iterated_rot_pow, rot_mul_residues, rot_pow_residues
+from oracles import (
+    identity_power_sweep,
+    iterated_rot_pow,
+    rot_mul_fractions,
+    rot_mul_residues,
+    rot_pow_residues,
+    square_and_multiply,
+)
 
 F7 = PrimeField(7)
 F13 = PrimeField(13)
@@ -92,15 +100,53 @@ def test_rot_pow_golden_and_oracle(rng):
     assert rot_pow(a, 0) == identity_element(C13)
     assert rot_pow(a, 3) == rotation_element(C13, 0, 12)
     assert rot_pow(a, 6) == rotation_element(C13, 12, 0)
-    for c in (C13, CQ2):
+    # the identity and (-r, 0), the one point whose Gaussian pair (r + x, -y)
+    # vanishes, on split, non-split, characteristic-2 and rational circles
+    f9, f4 = QuadraticExtension(3, (1, 0)), QuadraticExtension(2, (1, 1))
+    for c in (C13, circle(F7, (0, 0), 3), circle(f9, (0, 0), (0, 1)), circle(f4, (0, 0), (0, 1)),
+              CQ2, circle(Q, (0, 0), Fraction(-5, 3))):
         r = c.radius
-        i = rotation_element(c, 0, r.value)
-        assert rot_pow(i, 4) == identity_element(c)
-        assert rot_pow(rotation_element(c, -r.value, 0), 2) == identity_element(c)
+        e = identity_element(c)
+        minus = RotationElement(c, point(c.field, -r, c.field.zero))
+        if c.field.characteristic != 2:
+            quarter = rotation_element(c, 0, r.value)
+            assert rot_pow(quarter, 4) == e and rot_pow(quarter, 2**64 + 1) == quarter
+        for n in (0, 1, 2, 3, 2**64 + 1):
+            assert rot_pow(e, n) == e
+            assert rot_pow(minus, n) == (minus if n % 2 else e)
+        assert rot_mul(minus, minus) == e and rot_mul(minus, e) == minus
+        if c.field.is_finite():
+            assert element_order(e) == 1
+            assert element_order(minus) == (1 if c.field.characteristic == 2 else 2)
     for _ in range(20):
         n = rng.randrange(0, 65)
         b = group_elements(C13)[rng.randrange(12)]
         assert rot_pow(b, n) == iterated_rot_pow(b, n)
+    # 64-bit exponents where -1 is not a square (1000003) and where it is
+    # (999999999989), against the defining formula
+    for p in (1000003, 999999999989):
+        for r in (1, 5):
+            c = circle(PrimeField(p), (0, 0), r)
+            for t in (2, 7):
+                b = RotationElement(c, point_from_parameter(c, t))
+                raw = (b.point.x.value, b.point.y.value)
+                for n in (2**64 - 1, 2**63 + 12345):
+                    got = rot_pow(b, n).point
+                    want = square_and_multiply(
+                        lambda u, v: rot_mul_residues(p, r, u, v), (r, 0), raw, n
+                    )
+                    assert (got.x.value, got.y.value) == want
+    # large powers over Q
+    for c, xy in ((CQ2, (Fraction(8, 5), Fraction(6, 5))), (circle(Q, (0, 0), 1), (Fraction(3, 5), Fraction(4, 5)))):
+        r = c.radius.value
+        b = rotation_element(c, *xy)
+        for n in (64, 4000):
+            got = rot_pow(b, n).point
+            want = square_and_multiply(lambda u, v: rot_mul_fractions(r, u, v), (r, Fraction(0)), xy, n)
+            assert (got.x.value, got.y.value) == want
+    # a power over Q whose coordinates would have billions of digits is refused
+    with pytest.raises(ResultTooLarge):
+        rot_pow(rotation_element(CQ2, Fraction(8, 5), Fraction(6, 5)), 10**9)
 
 
 def test_rot_mul_and_pow_match_residue_formula():
@@ -114,25 +160,34 @@ def test_rot_mul_and_pow_match_residue_formula():
                 for b in elements:
                     got = rot_mul(a, b).point
                     assert (got.x.value, got.y.value) == rot_mul_residues(p, r, raw[a], raw[b])
-                for n in range(len(elements) + 2):
+                powers = [rot_pow_residues(p, r, raw[a], n) for n in range(len(elements) + 2)]
+                for n, want in enumerate(powers):
                     got = rot_pow(a, n).point
-                    assert (got.x.value, got.y.value) == rot_pow_residues(p, r, raw[a], n)
+                    assert (got.x.value, got.y.value) == want
+                assert element_order(a) == powers.index((r, 0), 1)
 
 
 def test_rot_pow_matches_formula_products_over_extensions():
+    # a square root s of -1 lies outside F_p in F_9 and F_49, inside it in F_25
+    f9 = QuadraticExtension(3, (1, 0))
+    f25 = QuadraticExtension(5, (3, 0))
     f49 = QuadraticExtension(7, (1, 0))
     f4 = QuadraticExtension(2, (1, 1))
-    for field in (f49, f4):
+    for field in (f9, f25, f49, f4):
         for radius in (field(1), field((0, 1)), field((1, 1))):
             c = circle(field, (0, 0), radius.value)
             elements = group_elements(c)
             for b in elements:
                 b1, b2 = b.point.x, b.point.y
                 x, y = radius, field.zero
+                order = None
                 for n in range(len(elements) + 2):
                     got = rot_pow(b, n).point
                     assert (got.x, got.y) == (x, y)
+                    if n and order is None and (x, y) == (radius, field.zero):
+                        order = n
                     x, y = (x * b1 - y * b2) / radius, (x * b2 + y * b1) / radius
+                assert element_order(b) == order
 
 
 def test_induced_squared_distance():
