@@ -21,34 +21,6 @@ from .keyex import _point_json
 from .plane import Circle, PlanePoint, enumerate_circle
 from .rotation import RotationElement
 
-ENV_SEED = "CIRCLERING_SEED"
-
-
-def _env_seed() -> int:
-    try:
-        return int(os.environ.get(ENV_SEED, "0"))
-    except ValueError:
-        return 0
-
-
-def _load_config(path: str | None) -> dict:
-    """key=value config lines; '#' starts a comment."""
-    defaults = {"clique_cap": 4096}
-    if not path:
-        return defaults
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key in defaults:
-                defaults[key] = int(value.strip())
-            else:
-                raise ValueError(f"unknown config key {key!r}")
-    return defaults
-
 
 def _parse_point(field, text: str) -> PlanePoint:
     try:
@@ -142,7 +114,7 @@ def _cmd_circle_partition(args) -> int:
 def _cmd_circle_cliques(args) -> int:
     c = _parse_circle(args)
     seed = _parse_point(c.field, args.seed_point)
-    sets = maximal.enumerate_emaximal_sets(c, seed, cap=args.config["clique_cap"])
+    sets = maximal.enumerate_emaximal_sets(c, seed)
     _emit(
         {
             "circle": _circle_json(c),
@@ -242,9 +214,7 @@ def _cmd_keyex_demo(args) -> int:
         # so the demo defaults to a small cap there; --exp-cap overrides
         exp_cap = 2**64 if base.field.is_finite() else 64
     params = keyex.ProtocolParams(base, exponent_cap=exp_cap)
-    seed_a = args.seed_a if args.seed_a is not None else _env_seed()
-    seed_b = args.seed_b if args.seed_b is not None else _env_seed() + 1
-    transcript = keyex.simulate_exchange(params, seed_a, seed_b, dlog_cap=args.dlog_cap)
+    transcript = keyex.simulate_exchange(params, args.seed_a, args.seed_b, dlog_cap=args.dlog_cap)
     with _long_ints_printable():
         doc = transcript.to_json_dict()
     if args.dlog_cap:
@@ -261,10 +231,16 @@ def _positive_int(text: str) -> int:
     return n
 
 
+def _nonnegative_int(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return n
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--pretty", action="store_true", help="indented JSON output")
-    common.add_argument("--config", help="key=value config file (clique_cap)")
 
     top = argparse.ArgumentParser(
         prog="circlering",
@@ -318,7 +294,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if name == "mul":
             p.add_argument("--point2", required=True)
         if name == "pow":
-            p.add_argument("--exp", type=int, required=True)
+            p.add_argument("--exp", type=_nonnegative_int, required=True)
         if name == "sqrt":
             p.add_argument("--unchecked", action="store_true")
         p.set_defaults(run=_cmd_rot)
@@ -329,8 +305,8 @@ def _build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--field", required=True)
     demo.add_argument("--radius", required=True)
     demo.add_argument("--point", required=True)
-    demo.add_argument("--seed-a", type=int, default=None)
-    demo.add_argument("--seed-b", type=int, default=None)
+    demo.add_argument("--seed-a", type=int, default=0)
+    demo.add_argument("--seed-b", type=int, default=1)
     demo.add_argument("--exp-cap", type=int, default=None)
     demo.add_argument("--dlog-cap", type=int, default=10_000)
     demo.set_defaults(run=_cmd_keyex_demo)
@@ -342,7 +318,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        args.config = _load_config(args.config)
         return args.run(args)
     except (CircleRingError, ValueError, OSError) as exc:
         code = type(exc).__name__

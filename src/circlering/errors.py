@@ -59,7 +59,7 @@ class NotPerfect(CircleRingError, ValueError):
 
 
 class CircleTooLarge(CircleRingError, ValueError):
-    """Circle exceeds the configured bound for exhaustive search."""
+    """Circle exceeds a fixed size cap for enumeration or exhaustive search."""
 
 
 class CircleMismatch(CircleRingError, TypeError):

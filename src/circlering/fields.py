@@ -145,17 +145,17 @@ def primes_up_to(limit: int) -> list[int]:
     return _sieve_cache[: bisect_right(_sieve_cache, limit)]
 
 
-_TRIAL_BOUND = 10**6  # default bound on trial-division primes
+_TRIAL_BOUND = 10**6  # bound on trial-division primes
 
 
-def _trial_division(n: int, bound: int) -> tuple[dict[int, int], int]:
-    """The primes p <= bound dividing n, with exponents, and the cofactor left.
+def _trial_division(n: int) -> tuple[dict[int, int], int]:
+    """The primes p <= _TRIAL_BOUND dividing n, with exponents, and the cofactor left.
 
     Stops once p^2 exceeds what is left, so a cofactor c > 1 has no
-    prime factor below min(bound, sqrt(c)).
+    prime factor below min(_TRIAL_BOUND, sqrt(c)).
     """
     exponents: dict[int, int] = {}
-    for p in primes_up_to(min(bound, math.isqrt(n) + 1)):
+    for p in primes_up_to(min(_TRIAL_BOUND, math.isqrt(n) + 1)):
         if p * p > n:
             break
         while n % p == 0:
@@ -164,16 +164,16 @@ def _trial_division(n: int, bound: int) -> tuple[dict[int, int], int]:
     return exponents, n
 
 
-def _squarefree_part_int(n: int, bound: int) -> int:
-    """Squarefree part of a positive integer by trial division to `bound`."""
+def _squarefree_part_int(n: int) -> int:
+    """Squarefree part of a positive integer by trial division to _TRIAL_BOUND."""
     root = math.isqrt(n)
     if root * root == n:
         return 1  # every prime exponent is even
-    exponents, n = _trial_division(n, bound)
+    exponents, n = _trial_division(n)
     part = math.prod(p for p, e in exponents.items() if e % 2)
     if n == 1:
         return part
-    if n <= bound * bound:
+    if n <= _TRIAL_BOUND * _TRIAL_BOUND:
         # no factor <= bound, hence no factor <= sqrt(n): n is prime
         return part * n
     root = math.isqrt(n)
@@ -181,17 +181,17 @@ def _squarefree_part_int(n: int, bound: int) -> int:
         # perfect square: even exponents throughout, contributes nothing
         return part
     raise FactorBoundExceeded(
-        f"cofactor {n} exceeds trial-division bound {bound}^2 and is not a square"
+        f"cofactor {n} exceeds trial-division bound {_TRIAL_BOUND}^2 and is not a square"
     )
 
 
-def squarefree_part(q, bound: int = _TRIAL_BOUND) -> int:
+def squarefree_part(q) -> int:
     """Coset representative of a nonzero rational in Q*/squares.
 
     Returns the signed product of the primes dividing q to an odd power,
     in increasing order; two nonzero rationals land in the same coset of
     the square subgroup exactly when their squarefree parts agree.
-    Raises FactorBoundExceeded when trial division up to `bound` cannot
+    Raises FactorBoundExceeded when trial division up to _TRIAL_BOUND cannot
     settle the factorization.
     """
     q = Fraction(q)
@@ -200,7 +200,7 @@ def squarefree_part(q, bound: int = _TRIAL_BOUND) -> int:
     sign = -1 if q < 0 else 1
     num, den = abs(q.numerator), q.denominator
     # num and den are coprime, so their squarefree parts multiply
-    return sign * _squarefree_part_int(num, bound) * _squarefree_part_int(den, bound)
+    return sign * _squarefree_part_int(num) * _squarefree_part_int(den)
 
 
 class FieldElement:

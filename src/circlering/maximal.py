@@ -49,7 +49,6 @@ from .plane import (
     circle_cardinality,
     enumerate_circle,
     point_from_parameter,
-    rotation_between,
     squared_distance,
 )
 
@@ -155,6 +154,8 @@ class CardinalityAnswer:
 
 # most circle points the "at most two" witness scan of cmaximal_cardinality visits
 _WITNESS_CAP = 10_000
+# most circle points enumerate_emaximal_sets builds its rationality graph on
+_CLIQUE_CAP = 4096
 
 
 def _rational(field: FieldDescriptor, a: tuple, b: tuple) -> bool:
@@ -195,7 +196,7 @@ def _raw_partition(c: Circle) -> tuple[list, list]:
     return first, second
 
 
-def partition_rational_circle_points(c: Circle, sample, bound: int = 10**6):
+def partition_rational_circle_points(c: Circle, sample):
     """Group sampled parameters on a Q-circle by rationality class.
 
     Each parameter t is keyed by the squarefree part of t^2 + 1 (the
@@ -211,7 +212,7 @@ def partition_rational_circle_points(c: Circle, sample, bound: int = 10**6):
             key = 1
         else:
             value = t.value if isinstance(t, FieldElement) else Fraction(t)
-            key = squarefree_part(value * value + 1, bound)
+            key = squarefree_part(value * value + 1)
         groups.setdefault(key, []).append(point_from_parameter(c, t))
     return {
         key: CircularPointSet(c, pts, SetStatus.UNCLASSIFIED)
@@ -254,46 +255,52 @@ def _antipodes(c: Circle) -> tuple:
     return (field._add(m1, r), m2), (field._sub(m1, r), m2)
 
 
-def _witness_triangle(c: Circle, q):
-    """Rational triangle realizing the raw value q: (r,0), (x,y), (x,-y) shifted to center.
+def _distance_rotation(c: Circle, q):
+    """g_q = (r - q/(2r), y) as a raw pair, y the prime-subfield root of q(1 - q/(4r^2)).
 
-    x = r - q/(2r) and y is the prime-subfield root of q(1 - q/(4r^2));
-    valid whenever q is nonzero, rational, and satisfies the algebraic
-    circle property.
+    g_q lies on C((0,0), r) at squared distance (q/(2r))^2 + y^2 = q from
+    the identity (r, 0), so rotating a point of any circle of radius r
+    about its center by g_q or by g_q^-1 = (x, -y) reaches the points at
+    squared distance q from it.  Needs q(1 - q/(4r^2)) to be a
+    prime-subfield square, as it is when q satisfies the a.c.p.
     """
     field = c.field
-    add, sub, mul, inv = field._add, field._sub, field._mul, field._inv
-    (m1, m2), r = _raw(c.center), c.radius.value
-    x = sub(r, mul(q, inv(mul(field._canon(2), r))))
-    y = field._prime_sqrt(mul(q, _rest(c, q)))
-    mx = add(m1, x)
-    raw = (_antipodes(c)[0], (mx, add(m2, y)), (mx, sub(m2, y)))
-    p1, p2, p3 = (_point(field, xy) for xy in raw)
-    for p in (p1, p2, p3):
-        c.require(p)
-    side = _raw_squared_distance(field, raw[0], raw[1])
-    if side != q:
-        raise AssertionError(
-            f"witness triangle for {FieldElement(field, q)} has side {FieldElement(field, side)}"
-        )
-    return (p1, p2, p3)
-
-
-def _antipode_triangle(c: Circle, other_q):
-    """Rational triangle with one side 4r^2, built from another perfect raw value."""
-    field = c.field
-    p1, p2 = (_point(field, xy) for xy in _antipodes(c))
-    third = points_at_distance(c, p1, FieldElement(field, other_q))[0]
-    if not _rational(field, _raw(p2), _raw(third)):
-        raise AssertionError(f"antipode triangle through {third} is not rational")
-    return (p1, p2, third)
+    mul = field._mul
+    r = c.radius.value
+    x = field._sub(r, mul(q, field._inv(mul(field._canon(2), r))))
+    return x, field._prime_sqrt(mul(q, _rest(c, q)))
 
 
 def _witness(c: Circle, q):
-    """The witness triangle of a perfect raw value q."""
-    if q == _four_r2(c):
-        return _antipode_triangle(c, _first_other_perfect(c))
-    return _witness_triangle(c, q)
+    """The witness triangle of a perfect raw value q: three circle points, pairwise rational.
+
+    With A, B the antipodes (m1 + r, m2), (m1 - r, m2) and M the center it
+    is (A, M + g_q, M + g_q^-1) for q != 4r^2, both at squared distance q
+    from A; for q = 4r^2 = d(A, B) it is (A, B, the first point at
+    _first_other_perfect(c) from A).
+    """
+    field = c.field
+    a, b = _antipodes(c)
+    diameter = q == _four_r2(c)
+    if diameter:
+        raw = (a, b, _raw(_points_at_distance(c, a, _first_other_perfect(c))[0]))
+    else:
+        (m1, m2), (x, y) = _raw(c.center), _distance_rotation(c, q)
+        mx = field._add(m1, x)
+        raw = (a, (mx, field._add(m2, y)), (mx, field._sub(m2, y)))
+    triangle = tuple(_point(field, xy) for xy in raw)
+    for p in triangle:
+        c.require(p)
+    if diameter:
+        if not _rational(field, b, raw[2]):
+            raise AssertionError(f"antipode triangle through {triangle[2]} is not rational")
+    else:
+        side = _raw_squared_distance(field, a, raw[1])
+        if side != q:
+            raise AssertionError(
+                f"witness triangle for {FieldElement(field, q)} has side {FieldElement(field, side)}"
+            )
+    return triangle
 
 
 def _parametrized_perfect(c: Circle):
@@ -391,7 +398,7 @@ def _first_other_perfect(c: Circle):
     is not None.  For the antipodes A, B and every circle point C,
     d(A,C) + d(B,C) = 4r^2 (Thales), so a rational triangle ABC makes
     u = d(A,C) a value with u and 1 - u/(4r^2) both squares: another
-    perfect distance.  Conversely _antipode_triangle builds ABC from one.
+    perfect distance.  Conversely _witness builds ABC from one.
     """
     return next(_parametrized_perfect(c), None)
 
@@ -436,56 +443,45 @@ def points_at_distance(c: Circle, base: PlanePoint, q) -> list[PlanePoint]:
     """The circle points at a perfect squared distance q from `base`.
 
     Exactly two points unless q = 4r^2, which is realized only by the
-    antipode.  The base is moved to (0, -r) by an isometry, the closed
-    form (+-alpha*beta, q/(2r) - r) is applied, and the isometry is
-    undone.  Raises NotPerfect when q lacks the algebraic certificate
+    antipode.  They are center + (base - center) g_q^(+-1) / r, the base
+    rotated about the center by g_q (see _distance_rotation) and by its
+    inverse.  Raises NotPerfect when q lacks the algebraic certificate
     (nonzero, rational, a.c.p.) the construction needs.
     """
     q = c.field(q)
     c.require(base)
-    return _points_at_distance(c, base, _rotation_from_anchor(c, base), q.value)
+    return _points_at_distance(c, _raw(base), q.value)
 
 
-def _rotation_from_anchor(c: Circle, base: PlanePoint) -> tuple:
-    """The raw (a, b) of the rotation about the origin carrying (0, -r) to base - center."""
-    field = c.field
-    origin_circle = Circle(PlanePoint(field.zero, field.zero), c.radius)
-    anchor = PlanePoint(field.zero, -c.radius)
-    rho = rotation_between(anchor, base - c.center, origin_circle)
-    return rho.a.value, rho.b.value
-
-
-def _points_at_distance(c: Circle, base: PlanePoint, rho: tuple, q) -> list[PlanePoint]:
-    """points_at_distance for a base already on `c`, its raw anchor rotation rho and a raw q.
+def _points_at_distance(c: Circle, base: tuple, q) -> list[PlanePoint]:
+    """points_at_distance for a raw base on `c` and a raw q.
 
     Every returned point is checked to lie on the circle at squared
     distance q from the base.
     """
     field = c.field
-    add, sub, mul, inv = field._add, field._sub, field._mul, field._inv
-    r = c.radius.value
+    add, sub, mul = field._add, field._sub, field._mul
     if q == field._zero or not _acp(c, q):
         raise NotPerfect(
             f"{FieldElement(field, q)} is not realizable as a perfect distance on {c}"
         )
-    alpha = field._prime_sqrt(q)
-    beta = field._prime_sqrt(_rest(c, q))
-    second = sub(mul(q, inv(mul(field._canon(2), r))), r)
-    (a, b), (m1, m2) = rho, _raw(c.center)
-    ab = mul(alpha, beta)
-    # the rotation [[a, b], [-b, a]] of (x, second), then the shift by the center
+    x, y = _distance_rotation(c, q)
+    (m1, m2), inv_r = _raw(c.center), field._inv(c.radius.value)
+    u1, u2 = mul(sub(base[0], m1), inv_r), mul(sub(base[1], m2), inv_r)
+    x1, x2, y1, y2 = mul(u1, x), mul(u2, x), mul(u1, y), mul(u2, y)
+    # (u1 + i u2)(x +- i y), shifted back by the center
     raw = sorted({
-        (add(m1, add(mul(a, x), mul(b, second))), add(m2, sub(mul(a, second), mul(b, x))))
-        for x in (ab, field._neg(ab))
+        (add(m1, sub(x1, y2)), add(m2, add(x2, y1))),
+        (add(m1, add(x1, y2)), add(m2, sub(x2, y1))),
     })
     out = [_point(field, xy) for xy in raw]
-    at = _raw(base)
     for p, xy in zip(out, raw):
         c.require(p)
-        d = _raw_squared_distance(field, at, xy)
+        d = _raw_squared_distance(field, base, xy)
         if d != q:
             raise AssertionError(
-                f"{p} is at {FieldElement(field, d)}, not {FieldElement(field, q)}, from {base}"
+                f"{p} is at {FieldElement(field, d)}, not {FieldElement(field, q)}, "
+                f"from {_point(field, base)}"
             )
     return out
 
@@ -515,9 +511,9 @@ def iter_maximal_points(c: Circle, seed: PlanePoint):
     c.require(seed)
     yield seed
     emitted = {seed}
-    rho = _rotation_from_anchor(c, seed)
+    base = _raw(seed)
     for q in _perfect_values(c):
-        for p in _points_at_distance(c, seed, rho, q):
+        for p in _points_at_distance(c, base, q):
             if p not in emitted:
                 emitted.add(p)
                 yield p
@@ -547,9 +543,9 @@ def grow_maximal_set(c: Circle, seed: PlanePoint, prefix: int = 64) -> CircularP
         return CircularPointSet(c, pts, SetStatus.C_MAXIMAL, is_prefix=True)
     pts = [seed]
     if (c.radius * c.radius).in_prime_subfield():
-        rho = _rotation_from_anchor(c, seed)
+        base = _raw(seed)
         for q in _perfect_values(c):
-            pts.extend(_points_at_distance(c, seed, rho, q))
+            pts.extend(_points_at_distance(c, base, q))
     if len(pts) == 1:  # no perfect distance
         partner = _rational_partner(c, seed)
         if partner is not None:
@@ -592,7 +588,7 @@ def _bron_kerbosch(adj, grown, cands, excluded, out):
         pool &= ~bit
 
 
-def enumerate_emaximal_sets(c: Circle, seed: PlanePoint, cap: int = 4096):
+def enumerate_emaximal_sets(c: Circle, seed: PlanePoint):
     """All e-maximal circular point sets containing `seed`, by clique search.
 
     Runs exact Bron-Kerbosch on the rationality graph restricted to the
@@ -600,12 +596,13 @@ def enumerate_emaximal_sets(c: Circle, seed: PlanePoint, cap: int = 4096):
     its neighbours, so maximality there is maximality in the full
     graph).  Results are sorted largest-first; the largest are marked
     c-maximal, which is also globally correct because rotations carry
-    cliques through any point to cliques through any other.
+    cliques through any point to cliques through any other.  A circle of
+    more than _CLIQUE_CAP points raises CircleTooLarge before any work.
     """
     field = c.field
     n = circle_cardinality(field)
-    if n > cap:
-        raise CircleTooLarge(f"{n} circle points exceed the cap {cap}")
+    if n > _CLIQUE_CAP:
+        raise CircleTooLarge(f"{n} circle points exceed the cap {_CLIQUE_CAP}")
     c.require(seed)
     raw = _raw_circle_points(c)
     adj = _rationality_adjacency(field, raw)

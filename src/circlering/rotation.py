@@ -382,7 +382,7 @@ def _factorize(n: int) -> dict[int, int]:
 
     A cofactor left over must be prime; FactorBoundExceeded otherwise.
     """
-    exponents, cofactor = _trial_division(n, _TRIAL_BOUND)
+    exponents, cofactor = _trial_division(n)
     if cofactor > 1:
         if not is_prime(cofactor):
             raise FactorBoundExceeded(

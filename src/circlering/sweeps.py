@@ -164,11 +164,9 @@ def _with_verdict(record: dict, checks: dict) -> dict:
     return record
 
 
-def verify_cmax_table(cells=None) -> list[dict]:
-    """Cardinality-table sweep; defaults to the full finite cell set."""
-    if cells is None:
-        cells = default_table_cells()
-    return [table_cell_record(field, radius) for field, radius in cells]
+def verify_cmax_table() -> list[dict]:
+    """Cardinality-table sweep over the full finite cell set, default_table_cells()."""
+    return [table_cell_record(field, radius) for field, radius in default_table_cells()]
 
 
 def _mod4_record(field) -> dict:

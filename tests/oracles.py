@@ -8,9 +8,9 @@ Two kinds live here:
   `quadratic_squared_distance`, `brute_circle_quadratic`,
   `rationality_graph_prime`, `connected_components`,
   `rational_triangle_sides`, `perfect_distances_by_triangles`,
-  `rot_mul_residues`, `rot_pow_residues`, `rot_mul_fractions`,
-  `square_and_multiply`, `fraction_is_square`, and the Gaussian-integer
-  branch of `identity_power_sweep` over Q.
+  `point_at_distance`, `rot_mul_residues`, `rot_pow_residues`,
+  `rot_mul_fractions`, `square_and_multiply`, `fraction_is_square`,
+  and the Gaussian-integer branch of `identity_power_sweep` over Q.
 * Exhaustive scans that drive the library's own field elements, points
   and products, checking a global property the library decides by a
   theorem or a closed form: `brute_circle_field`, `iterated_rot_pow`,
@@ -151,6 +151,11 @@ def perfect_distances_by_triangles(p: int, r: int) -> set:
         lambda a, b: ((a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2) % p,
         squares_of(p).__contains__,
     )
+
+
+def point_at_distance(points, distance, origin, q):
+    """The least of `points` at squared distance q from `origin`, by scan; None if there is none."""
+    return min((pt for pt in points if distance(origin, pt) == q), default=None)
 
 
 def rot_mul_residues(p: int, r: int, a: tuple, b: tuple) -> tuple:

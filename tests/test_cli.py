@@ -195,11 +195,13 @@ def test_keyex_demo_deterministic(capsys):
 
 
 def test_env_seed_default(capsys, monkeypatch):
+    # omitted seeds are 0 and 1; the environment does not set them
     monkeypatch.setenv("CIRCLERING_SEED", "123")
-    code, out, _ = run_cli(capsys, "keyex", "demo", "--field", "Fp:13", "--radius", "1",
-                           "--point", "2,6")
+    args = ("keyex", "demo", "--field", "Fp:13", "--radius", "1", "--point", "2,6")
+    code, out, _ = run_cli(capsys, *args)
     assert code == 0
     assert json.loads(out)["equal"] is True
+    assert run_cli(capsys, *args, "--seed-a", "0", "--seed-b", "1") == (0, out, "")
 
 
 def test_usage_errors(capsys):
@@ -216,9 +218,12 @@ def test_usage_errors(capsys):
         assert code == 2 and "error: ParseError" in err, err
     code, _, err = run_cli(capsys, "circle", "enum", "--field", "Fp:7", "--radius", "1" * 5000)
     assert code == 2 and "error: ParseError" in err and len(err) < 500, err
-    with pytest.raises(SystemExit) as exc:
-        main(["circle", "bogus"])
-    assert exc.value.code == 2
+    for argv in (["circle", "bogus"],
+                 ["rot", "pow", "--field", "Fp:13", "--radius", "1", "--point", "2,6", "--exp", "-1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    assert "expected a nonnegative integer" in capsys.readouterr().err
 
 
 def test_enumeration_cap():
@@ -246,26 +251,15 @@ def test_size_caps_refuse_at_once():
         assert done.returncode == 2 and f"error: {error}" in done.stderr, (cmd, done.stderr)
 
 
-def test_config_file(capsys, tmp_path):
-    cfg = tmp_path / "rc.conf"
-    cfg.write_text("# comment\nclique_cap = 16\n")
-    code, out, _ = run_cli(capsys, "circle", "cliques", "--config", str(cfg),
-                           "--field", "Fp:7", "--center", "0,0", "--radius", "1",
-                           "--seed-point", "0,1")
-    assert code == 0
-    assert json.loads(out)["sets"][0]["size"] == 4
-    # cap from the config is honored: an 8-point circle under a cap of 4 errors
-    cfg.write_text("clique_cap=4\n")
-    code, _, err = run_cli(capsys, "circle", "cliques", "--config", str(cfg),
-                           "--field", "Fp:7", "--center", "0,0", "--radius", "1",
-                           "--seed-point", "0,1")
-    assert code == 2 and "CircleTooLarge" in err
-    # keys the CLI does not read are rejected, not ignored
-    cfg.write_text("factor_bound=1000000\n")
-    code, _, err = run_cli(capsys, "circle", "cliques", "--config", str(cfg),
-                           "--field", "Fp:7", "--center", "0,0", "--radius", "1",
-                           "--seed-point", "0,1")
-    assert code == 2 and "factor_bound" in err
+def test_clique_cap(capsys):
+    # a circle of 4100 points passes the fixed cap of 4096 and is refused before any search
+    args = ["circle", "cliques", "--field", "Fp:4099", "--radius", "1", "--seed-point", "0,1"]
+    code, out, err = run_cli(capsys, *args)
+    assert code == 2 and out == "" and "error: CircleTooLarge" in err, err
+    # there is no config file to raise it
+    with pytest.raises(SystemExit) as exc:
+        main([*args, "--config", "rc.conf"])
+    assert exc.value.code == 2 and "--config" in capsys.readouterr().err
 
 
 def test_pretty_mode(capsys):

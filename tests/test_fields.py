@@ -296,10 +296,11 @@ def test_squarefree_part_square_invariance(rng):
 
 
 def test_squarefree_part_bound():
+    # two primes above the trial-division bound 10^6 leave a cofactor above 10^12
     with pytest.raises(FactorBoundExceeded):
-        squarefree_part(Fraction(1000003 * 1000033, 1), bound=100)
+        squarefree_part(Fraction(1000003 * 1000033, 1))
     # perfect-square cofactors are fine even beyond the bound
-    assert squarefree_part(Fraction(1000003**2, 1), bound=100) == 1
+    assert squarefree_part(Fraction(1000003**2, 1)) == 1
     with pytest.raises(ValueError):
         squarefree_part(0)
 

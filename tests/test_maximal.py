@@ -48,6 +48,7 @@ from oracles import (
     check_uniformity,
     connected_components,
     perfect_distances_by_triangles,
+    point_at_distance,
     points_have_uniformity,
     quadratic_mul,
     quadratic_squared_distance,
@@ -55,6 +56,7 @@ from oracles import (
     rationality_graph_prime,
     squares_of,
 )
+from circlering.rotation import rot_mul, rotation_element
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -147,6 +149,13 @@ def test_check_acp_examples():
 
 def test_perfect_distances_golden():
     assert {q.value for q in perfect_distances(C7)} == {2, 4}
+    # witnesses: (A, g_q, g_q^-1) with A = (r, 0); for q = 4r^2 the antipodes
+    # and the first point at the first other perfect distance from A
+    a = point(F7, 1, 0)
+    assert perfect_distances(C7) == {
+        F7(2): (a, point(F7, 0, 1), point(F7, 0, 6)),
+        F7(4): (a, point(F7, 6, 0), point(F7, 0, 1)),
+    }
     assert perfect_distances(circle(F5, (0, 0), 1)) == {}
     for r in range(1, 5):
         assert perfect_distances(circle(F5, (0, 0), r)) == {}
@@ -271,6 +280,37 @@ def test_points_at_distance():
                 got = points_at_distance(c, point(c.field, *seed), q)
                 scan = sorted(pt for pt in pts if distance(seed, pt) == q)
                 assert [(s.x.value, s.y.value) for s in got] == scan, (c, seed, q)
+
+
+def test_growth_is_rotation():
+    # on an origin-centred circle the points at a perfect q from B are B G and
+    # B G^-1, for any circle point G at squared distance q from the identity
+    # (r, 0): products of the rotation module, G found by an oracle scan
+    cases = []
+    for p in [p for p in primes_up_to(31) if p % 2]:
+        for r in (1, 2):
+            cases.append((PrimeField(p), r, (r % p, 0), brute_circle_prime(p, 0, 0, r),
+                          lambda a, b, p=p: ((a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2) % p,
+                          squares_of(p)))
+    for field in (QuadraticExtension(3, (1, 0)), F49):
+        p, f = field.p, (field.f0, field.f1)
+        for r in ((1, 0), (2, 0)):
+            cases.append((field, r, (r, (0, 0)), brute_circle_quadratic(p, f, ((0, 0), (0, 0)), r),
+                          lambda a, b, p=p, f=f: quadratic_squared_distance(p, f, a, b),
+                          {(s, 0) for s in squares_of(p)}))
+    checked = 0
+    for field, r, identity, pts, distance, squares in cases:
+        c = circle(field, (field.zero.value, field.zero.value), r)
+        for q in sorted(rational_triangle_sides(pts, distance, squares.__contains__)):
+            g = rotation_element(c, *point_at_distance(pts, distance, identity, q))
+            for b in sorted(pts):
+                base = rotation_element(c, *b)
+                want = sorted({(e.point.x.value, e.point.y.value)
+                               for e in (rot_mul(base, g), rot_mul(base, g.inverse()))})
+                got = points_at_distance(c, base.point, q)
+                assert [(s.x.value, s.y.value) for s in got] == want, (c, b, q)
+                checked += 1
+    assert checked > 1000, checked
 
 
 def test_grow_maximal_set_f49():
