@@ -14,7 +14,6 @@ from .errors import (
     DivisionByZero,
     FactorBoundExceeded,
     InfiniteField,
-    InvalidRotationParams,
     MalformedMessage,
     NotASquare,
     NotCoprime,
@@ -43,7 +42,6 @@ from .plane import (
     AT_INFINITY,
     Circle,
     PlanePoint,
-    RotationParams,
     circle,
     circle_cardinality,
     distance_from_parameters,
@@ -51,8 +49,6 @@ from .plane import (
     enumerate_rational_points,
     point,
     point_from_parameter,
-    rotate,
-    rotation_between,
     squared_distance,
 )
 from .maximal import (

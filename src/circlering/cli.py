@@ -193,7 +193,7 @@ def _cmd_rot(args) -> int:
     elif args.rot_cmd == "pow":
         result = rotation.rot_pow(a, args.exp)
     elif args.rot_cmd == "sqrt":
-        result = rotation.rot_sqrt(a, unchecked=args.unchecked)
+        result = rotation.rot_sqrt(a)
     else:  # order
         _emit({"order": rotation.element_order(a), "checks": {"on_circle": True}}, args.pretty)
         return 0
@@ -202,6 +202,8 @@ def _cmd_rot(args) -> int:
             "result": None if result is None else _point_json(result.point),
             "checks": {"on_circle": result is None or a.circle.contains(result.point)},
         }
+    if args.rot_cmd == "sqrt":
+        doc["method"] = "closed-form" if rotation._closed_form_sqrt(a.field) else "exhaustive"
     _emit(doc, args.pretty)
     return 0
 
@@ -295,8 +297,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--point2", required=True)
         if name == "pow":
             p.add_argument("--exp", type=_nonnegative_int, required=True)
-        if name == "sqrt":
-            p.add_argument("--unchecked", action="store_true")
         p.set_defaults(run=_cmd_rot)
 
     kx = sub.add_parser("keyex", help="key-exchange demo")

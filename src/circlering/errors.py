@@ -42,10 +42,6 @@ class PointNotOnCircle(CircleRingError, ValueError):
     """A point required to lie on a circle does not."""
 
 
-class InvalidRotationParams(CircleRingError, ValueError):
-    """Rotation parameters (a, b) do not satisfy a^2 + b^2 = 1."""
-
-
 class ParameterSquaresToMinusOne(CircleRingError, ValueError):
     """Circle parameter t with t^2 = -1 does not name a point."""
 

@@ -299,7 +299,7 @@ class FieldElement:
 
     def sort_key(self):
         """Total order on canonical representations, used for enumeration."""
-        return self.field._sort_key(self.value)
+        return self.value
 
     def __str__(self):
         return self.field._format(self.value)
@@ -428,9 +428,6 @@ class PrimeField(FieldDescriptor):
 
     def _prime_sqrt(self, a):
         return self._sqrt(a)
-
-    def _sort_key(self, a):
-        return a
 
     def _format(self, a):
         return str(a)
@@ -599,9 +596,6 @@ class QuadraticExtension(FieldDescriptor):
     def _prime_sqrt(self, a):
         return (self._prime._sqrt(a[0]), 0)
 
-    def _sort_key(self, a):
-        return a
-
     def _format(self, a):
         c0, c1 = a
         if c1 == 0:
@@ -695,9 +689,6 @@ class Rationals(FieldDescriptor):
 
     def _prime_sqrt(self, a):
         return self._sqrt(a)
-
-    def _sort_key(self, a):
-        return a
 
     def _format(self, a):
         return str(a)

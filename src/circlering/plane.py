@@ -1,8 +1,9 @@
 """Affine-plane geometry over any supported field.
 
-Points, circles, squared distances, the isometries (translations and
-rotations) that preserve them, and the rational parametrization of
-circle points with its cardinality formula.
+Points, circles, squared distances, translations, and the rational
+parametrization of circle points with its cardinality formula.
+Rotations are the rotation group's products (`rotation`): on
+C((0,0), r) the element (x, y) multiplies a point by (x + iy)/r.
 """
 
 from dataclasses import dataclass
@@ -13,7 +14,6 @@ from .errors import (
     CircleTooLarge,
     DescriptorMismatch,
     InfiniteField,
-    InvalidRotationParams,
     ParameterSquaresToMinusOne,
     PointNotOnCircle,
     ZeroRadius,
@@ -145,49 +145,6 @@ def squared_distance(p: PlanePoint, q: PlanePoint) -> FieldElement:
     if q.field != field:
         raise DescriptorMismatch("points from different fields")
     return FieldElement(field, _raw_squared_distance(field, _raw(p), _raw(q)))
-
-
-@dataclass(frozen=True)
-class RotationParams:
-    """Parameters (a, b) of a plane rotation; must satisfy a^2 + b^2 = 1."""
-
-    a: FieldElement
-    b: FieldElement
-
-    def __post_init__(self):
-        if self.a.field != self.b.field:
-            raise DescriptorMismatch("rotation parameters from different fields")
-        if self.a * self.a + self.b * self.b != self.a.field.one:
-            raise InvalidRotationParams(f"a^2 + b^2 != 1 for a={self.a}, b={self.b}")
-
-
-def rotate(p: PlanePoint, params: RotationParams, around: PlanePoint | None = None) -> PlanePoint:
-    """Apply the rotation matrix [[a, b], [-b, a]] about `around` (default origin)."""
-    a, b = params.a, params.b
-    if around is not None:
-        p = p - around
-    q = PlanePoint(a * p.x + b * p.y, -(b * p.x) + a * p.y)
-    if around is not None:
-        q = q + around
-    return q
-
-
-def rotation_between(p: PlanePoint, q: PlanePoint, on: Circle) -> RotationParams:
-    """The unique rotation about the origin carrying p to q on `on`.
-
-    The circle must be centered at the origin (translate first
-    otherwise); both points must lie on it.  Witnesses the transitive
-    action of the rotation group on the circle.
-    """
-    field = on.field
-    if on.center.x or on.center.y:
-        raise ValueError("rotation_between expects a circle centered at the origin")
-    on.require(p)
-    on.require(q)
-    rr = (on.radius * on.radius).inverse()
-    a = (q.x * p.x + q.y * p.y) * rr
-    b = (q.x * p.y - q.y * p.x) * rr
-    return RotationParams(a, b)
 
 
 def circle_cardinality(field: FieldDescriptor) -> int:

@@ -204,8 +204,9 @@ class _RationalTorus:
 
     The Gaussian product runs on plain integers, so no Fraction is built
     inside a loop; each coordinate of the way back is one Fraction.  A
-    power's coordinates have about n log2(a^2 + b^2) bits, which is
-    checked against _Q_POWER_BITS_CAP before computing.
+    power's coordinates have about n log2(a^2 + b^2) bits, where a pair
+    with a and b both odd first sheds its factor 1 - i, of norm 2; the
+    estimate is checked against _Q_POWER_BITS_CAP before computing.
     """
 
     one = (1, 0)
@@ -220,15 +221,24 @@ class _RationalTorus:
         self.mul = mul
 
     def pow(self, w: tuple, n: int) -> tuple:
+        a, b = w
+        front = self.one
+        if a & b & 1:
+            # w = (1 - i) w' and (1 - i)^2 = -2i, so up to the scalar 2^(n//2)
+            # w^n = (-i)^(n//2) (1 - i)^(n%2) w'^n, and w'^n stays coprime
+            front = ((1, 0), (0, -1), (-1, 0), (0, 1))[n // 2 % 4]
+            if n & 1:
+                front = self.mul(front, (1, -1))
+            w = (a - b) // 2, (a + b) // 2
         norm = w[0] * w[0] + w[1] * w[1]
-        if norm <= 2:
-            n %= 4  # the axis points, of order 1, 2 or 4
+        if norm == 1:
+            n %= 4  # a unit, of order 1, 2 or 4
         if n * norm.bit_length() > _Q_POWER_BITS_CAP:
             raise ResultTooLarge(
                 f"a {n}-th power over Q would have about {n * norm.bit_length()} bits, "
                 f"above the cap of {_Q_POWER_BITS_CAP}"
             )
-        return _power(self.mul, self.one, w, n)
+        return self.mul(front, _power(self.mul, self.one, w, n))
 
     def same(self, s: tuple, t: tuple) -> bool:
         return s[0] * t[1] == s[1] * t[0]
@@ -327,6 +337,16 @@ def induced_squared_distance(a: RotationElement):
     return squared_distance(a.point, PlanePoint(a.circle.radius, a.field.zero))
 
 
+def _closed_form_sqrt(field) -> bool:
+    """Whether rot_sqrt answers over `field` by the perfect-distance criterion.
+
+    The criterion holds over F_p with p > 5 and over Q; every other
+    supported field is finite (F_2, F_3, F_5, F_4 and each F_{p^2}) and
+    is searched exhaustively.
+    """
+    return isinstance(field, (PrimeField, Rationals)) and field.characteristic not in (2, 3, 5)
+
+
 def _exhaustive_sqrt(a: RotationElement):
     t = _torus(a.field, a.circle.radius.value)
     target = t.to_torus(_raw(a.point))
@@ -335,7 +355,7 @@ def _exhaustive_sqrt(a: RotationElement):
     return _element(a.circle, roots[0]) if roots else None
 
 
-def rot_sqrt(a: RotationElement, unchecked: bool = False) -> RotationElement | None:
+def rot_sqrt(a: RotationElement) -> RotationElement | None:
     """A square root of `a` in the rotation group, or None.
 
     Over a prime field of characteristic not in {2, 3, 5} (and over Q) a
@@ -345,20 +365,12 @@ def rot_sqrt(a: RotationElement, unchecked: bool = False) -> RotationElement | N
     root is the mirror (-b1, -b2)).  The identity, whose induced
     distance 0 is not perfect, is special-cased to return itself.
 
-    For the excluded small fields and for quadratic extensions the
-    equivalence is not claimed; pass unchecked=True to get a plain
-    exhaustive search there instead of WrongFieldKind.
+    Over every other field the equivalence is not claimed, and the
+    circle is searched for the least root in raw order; circles of more
+    than 10^6 points raise CircleTooLarge before the search.
     """
     field = a.field
-    supported = isinstance(field, (PrimeField, Rationals)) and field.characteristic not in (2, 3, 5)
-    if not supported:
-        if not unchecked:
-            raise WrongFieldKind(
-                "square-root criterion holds for prime fields of characteristic not in {2,3,5}; "
-                "pass unchecked=True for an exhaustive search"
-            )
-        if not field.is_finite():
-            raise WrongFieldKind("cannot search an infinite group exhaustively")
+    if not _closed_form_sqrt(field):
         return _exhaustive_sqrt(a)
     if a.is_identity():
         return a  # roots are (r, 0) and (-r, 0); return the identity

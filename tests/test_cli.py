@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -173,6 +174,17 @@ def test_rot_commands(capsys):
     code, out, _ = run_cli(capsys, "rot", "sqrt", "--field", "Fp:13", "--radius", "1",
                            "--point", "7,11")
     assert json.loads(out)["result"] == {"x": "2", "y": "6"}
+    assert json.loads(out)["method"] == "closed-form"
+    # outside F_p (p > 5) and Q the root is searched for, and the record says so
+    code, out, _ = run_cli(capsys, "rot", "sqrt", "--field", "Fp2:7,x^2+1", "--radius", "1",
+                           "--point", "5,5")
+    assert code == 0
+    assert json.loads(out) == {"result": {"x": "2a", "y": "4a"}, "checks": {"on_circle": True},
+                               "method": "exhaustive"}
+    # there is no flag to choose the method
+    with pytest.raises(SystemExit) as exc:
+        main(["rot", "sqrt", "--field", "Fp:13", "--radius", "1", "--point", "7,11", "--unchecked"])
+    assert exc.value.code == 2
     code, out, _ = run_cli(capsys, "rot", "order", "--field", "Fp:13", "--radius", "1",
                            "--point", "2,6")
     assert json.loads(out)["order"] == 12
@@ -290,3 +302,52 @@ def test_keyex_demo_over_q(capsys):
     assert code == 0, err
     doc = json.loads(out)
     assert doc["equal"] is True and len(doc["shared_a"]["x"]) > 4300
+
+
+# the README examples, placeholders filled in; verify is left out because
+# its --pmax bounds memory, not time
+README_EXAMPLES = (
+    ["circle", "enum", "--field", "Fp:7", "--center", "0,0", "--radius", "1"],
+    ["circle", "partition", "--field", "Fp:13", "--center", "7,11", "--radius", "6"],
+    ["circle", "cliques", "--field", "Fp2:7,x^2+1", "--radius", "1", "--seed-point", "4+a,2+5a"],
+    ["perfect", "--field", "Fp:7", "--radius", "1"],
+    ["rot", "mul", "--field", "Fp:13", "--radius", "1", "--point", "2,6", "--point2", "7,11"],
+    ["rot", "pow", "--field", "Fp:13", "--radius", "1", "--point", "2,6", "--exp", "3"],
+    ["rot", "sqrt", "--field", "Fp:13", "--radius", "1", "--point", "2,6"],
+    ["rot", "order", "--field", "Fp:13", "--radius", "1", "--point", "2,6"],
+    ["keyex", "demo", "--field", "Fp:1000003", "--radius", "1", "--point", "400002,800003",
+     "--seed-a", "5", "--seed-b", "6"],
+)
+MUTATED_FLAGS = ("--field", "--center", "--radius", "--point", "--point2", "--exp", "--seed-point")
+MUTATION_ALPHABET = "0123456789-+/,:ax^FpQ. "
+
+
+def _mutate(rng, text):
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(text) + 1)
+        op = rng.choice(("insert", "delete", "replace")) if text else "insert"
+        if op == "insert":
+            text = text[:i] + rng.choice(MUTATION_ALPHABET) + text[i:]
+        elif op == "delete":
+            i = min(i, len(text) - 1)
+            text = text[:i] + text[i + 1:]
+        else:
+            i = min(i, len(text) - 1)
+            text = text[:i] + rng.choice(MUTATION_ALPHABET) + text[i + 1:]
+    return text
+
+
+def test_mutated_arguments_exit_cleanly(capsys):
+    # every mutated value is answered, or refused with exit 1 or 2; no
+    # exception escapes main
+    rng = random.Random(1)
+    for _ in range(300):
+        argv = list(rng.choice(README_EXAMPLES))
+        i = rng.choice([i + 1 for i, arg in enumerate(argv) if arg in MUTATED_FLAGS])
+        argv[i] = _mutate(rng, argv[i])
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        capsys.readouterr()
+        assert code in (0, 1, 2), argv

@@ -5,7 +5,6 @@ import pytest
 
 from circlering.errors import (
     InfiniteField,
-    InvalidRotationParams,
     ParameterSquaresToMinusOne,
     PointNotOnCircle,
     ZeroRadius,
@@ -15,7 +14,6 @@ from circlering.plane import (
     AT_INFINITY,
     Circle,
     PlanePoint,
-    RotationParams,
     circle,
     circle_cardinality,
     distance_from_parameters,
@@ -23,10 +21,9 @@ from circlering.plane import (
     enumerate_rational_points,
     point,
     point_from_parameter,
-    rotate,
-    rotation_between,
     squared_distance,
 )
+from circlering.rotation import RotationElement, rot_mul, rotation_element
 
 from oracles import (
     all_distances_vanish,
@@ -59,50 +56,41 @@ def test_squared_distance_golden():
 
 
 def test_translate_and_rotate_golden():
-    quarter = RotationParams(F7(0), F7(1))
-    assert rotate(point(F7, 0, 1), quarter) == point(F7, 1, 0)
-    ident = RotationParams(F7(1), F7(0))
+    # a rotation is a product in the rotation group: (0,1) is the quarter
+    # turn of C((0,0),1), carrying (0,6) to (1,0)
+    c7 = circle(F7, (0, 0), 1)
+    assert rot_mul(rotation_element(c7, 0, 1), rotation_element(c7, 0, 6)).point == point(F7, 1, 0)
     p = point(F7, 3, 5)
-    assert rotate(p, ident, around=point(F7, 2, 2)) == p
     assert p + point(F7, 1, 1) == point(F7, 4, 6)
-    with pytest.raises(InvalidRotationParams):
-        RotationParams(F7(1), F7(1))
 
 
 def test_isometries_preserve_distance(rng):
+    c = circle(F13, (0, 0), 1)
+    pts = enumerate_circle(c)
     for _ in range(200):
         p = point(F13, rng.randrange(13), rng.randrange(13))
         q = point(F13, rng.randrange(13), rng.randrange(13))
         shift = point(F13, rng.randrange(13), rng.randrange(13))
         assert squared_distance(p + shift, q + shift) == squared_distance(p, q)
-        # rotation parameters harvested from unit-circle points
-        c = circle(F13, (0, 0), 1)
-        pts = enumerate_circle(c)
-        w = pts[rng.randrange(len(pts))]
-        theta = RotationParams(w.x, w.y)
-        center = point(F13, rng.randrange(13), rng.randrange(13))
-        assert squared_distance(
-            rotate(p, theta, around=center), rotate(q, theta, around=center)
-        ) == squared_distance(p, q)
+    # multiplying by any element g is a rotation of the circle
+    for g in pts:
+        g = RotationElement(c, g)
+        for p in pts:
+            for q in pts:
+                gp = rot_mul(g, RotationElement(c, p)).point
+                gq = rot_mul(g, RotationElement(c, q)).point
+                assert squared_distance(gp, gq) == squared_distance(p, q)
 
 
 def test_rotation_between_golden_and_exhaustive():
-    c13 = circle(F13, (0, 0), 1)
-    assert rotation_between(point(F13, 1, 0), point(F13, 1, 0), c13) == RotationParams(F13(1), F13(0))
-    # quarter turn carrying (1,0) to (0,1): with the matrix [[a,b],[-b,a]]
-    # the parameters are (0,-1)
-    assert rotation_between(point(F13, 1, 0), point(F13, 0, 1), c13) == RotationParams(F13(0), F13(12))
-    c7 = circle(F7, (0, 0), 1)
-    params = rotation_between(point(F7, 1, 0), point(F7, 2, 2), c7)
-    assert (params.a, params.b) == (F7(2), F7(5))
-    assert params.a * params.a + params.b * params.b == F7(1)
-    for c in (c7, c13):
-        pts = enumerate_circle(c)
+    # the element carrying p to q is q * p^-1
+    for c in (circle(F7, (0, 0), 1), circle(F13, (0, 0), 1)):
+        pts = [RotationElement(c, p) for p in enumerate_circle(c)]
         for p in pts:
             for q in pts:
-                assert rotate(p, rotation_between(p, q, c)) == q
+                assert rot_mul(p, rot_mul(q, p.inverse())) == q
     with pytest.raises(PointNotOnCircle):
-        rotation_between(point(F7, 1, 1), point(F7, 1, 0), c7)
+        rotation_element(circle(F7, (0, 0), 1), 1, 1)
 
 
 def test_point_from_parameter():

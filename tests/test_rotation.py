@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -12,13 +13,13 @@ from circlering.errors import (
     NotCoprime,
     PointNotOnCircle,
     ResultTooLarge,
-    WrongFieldKind,
 )
 from circlering.fields import PrimeField, QuadraticExtension, Rationals, primes_up_to
 from circlering.maximal import is_perfect_distance
 from circlering.plane import circle, enumerate_circle, point, point_from_parameter
 from circlering.rotation import (
     RotationElement,
+    _torus,
     classify_cyclicity,
     element_order,
     gaussian_norm_square_check,
@@ -144,6 +145,10 @@ def test_rot_pow_golden_and_oracle(rng):
             got = rot_pow(b, n).point
             want = square_and_multiply(lambda u, v: rot_mul_fractions(r, u, v), (r, Fraction(0)), xy, n)
             assert (got.x.value, got.y.value) == want
+    # the pair (3, -1) of (8/5, 6/5) on r = 2 has both entries odd; its
+    # powers carry no factor 2^(n//2)
+    for n in range(41):
+        assert math.gcd(*_torus(Q, 2).pow((3, -1), n)) == 1
     # a power over Q whose coordinates would have billions of digits is refused
     with pytest.raises(ResultTooLarge):
         rot_pow(rotation_element(CQ2, Fraction(8, 5), Fraction(6, 5)), 10**9)
@@ -250,24 +255,25 @@ def test_rot_sqrt_exists_iff_induced_perfect():
                     )
 
 
-def test_rot_sqrt_guard_and_unchecked():
+def test_rot_sqrt_exhaustive_fields():
     f5 = PrimeField(5)
     c5 = circle(f5, (0, 0), 1)
     a = rotation_element(c5, 4, 0)
-    with pytest.raises(WrongFieldKind):
-        rot_sqrt(a)
-    # unchecked mode searches: (0, +-1) square to (-1, 0) even in F_5,
-    # where the induced distance 4 is not perfect
-    root = rot_sqrt(a, unchecked=True)
+    # F_5 is searched: (0, +-1) square to (-1, 0), although the induced
+    # distance 4 is not perfect
+    root = rot_sqrt(a)
     assert root is not None and rot_mul(root, root) == a
     assert not is_perfect_distance(c5, induced_squared_distance(a))
-    # truth table for F_3: record existence by brute force and compare
-    f3 = PrimeField(3)
-    c3 = circle(f3, (0, 0), 1)
-    for e in group_elements(c3):
-        got = rot_sqrt(e, unchecked=True)
-        exists = any(rot_mul(b, b) == e for b in group_elements(c3))
-        assert (got is not None) == exists
+    # truth tables for F_2, F_3 and F_4: record existence by brute force and compare
+    f4 = QuadraticExtension(2, (1, 1))
+    for c in (circle(PrimeField(2), (0, 0), 1), circle(PrimeField(3), (0, 0), 1),
+              circle(f4, (0, 0), f4.one)):
+        elements = group_elements(c)
+        for e in elements:
+            got = rot_sqrt(e)
+            exists = any(rot_mul(b, b) == e for b in elements)
+            assert (got is not None) == exists
+            assert got is None or rot_mul(got, got) == e
 
 
 def test_group_order_and_element_orders():
@@ -367,13 +373,12 @@ def test_rotation_group_over_extension_field():
     for a in elements:
         assert rot_mul(a, a.inverse()) == e
         assert group_order(c9) % element_order(a) == 0
-    # square-root search is exposed only behind the unchecked flag here
-    with pytest.raises(WrongFieldKind):
-        rot_sqrt(elements[0])
+    # square roots are searched for over extension fields
     for a in elements:
-        got = rot_sqrt(a, unchecked=True)
+        got = rot_sqrt(a)
         exists = any(rot_mul(b, b) == a for b in elements)
         assert (got is not None) == exists
+        assert got is None or rot_mul(got, got) == a
 
 
 def test_gaussian_norm_square_check():
