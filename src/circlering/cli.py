@@ -202,8 +202,6 @@ def _cmd_rot(args) -> int:
             "result": None if result is None else _point_json(result.point),
             "checks": {"on_circle": result is None or a.circle.contains(result.point)},
         }
-    if args.rot_cmd == "sqrt":
-        doc["method"] = "closed-form" if rotation._closed_form_sqrt(a.field) else "exhaustive"
     _emit(doc, args.pretty)
     return 0
 

@@ -583,6 +583,9 @@ class QuadraticExtension(FieldDescriptor):
         if self.p == 2:
             # Frobenius is bijective: root = a^(|F|/2)
             return self._pow(a, self.order // 2)
+        if self._is_prime_subfield_square(a):
+            # the roots are (+-s, 0); the prime field's canonical s is the lesser
+            return self._prime_sqrt(a)
         r = _tonelli_shanks(self, a)
         # canonical choice: lexicographically smaller of the two roots
         return min(r, self._neg(r))

@@ -144,7 +144,8 @@ class CardinalityAnswer:
 
     kind is "finite" (with n set), "countably_infinite", or
     "at_most_two"; for the last, `witness` carries a rational pair when
-    one exists.
+    one exists, and is None when none does or when the characteristic
+    passes the enumeration cap (10^6).
     """
 
     kind: str
@@ -152,8 +153,6 @@ class CardinalityAnswer:
     witness: tuple | None = None
 
 
-# most circle points the "at most two" witness scan of cmaximal_cardinality visits
-_WITNESS_CAP = 10_000
 # most circle points enumerate_emaximal_sets builds its rationality graph on
 _CLIQUE_CAP = 4096
 
@@ -256,19 +255,20 @@ def _antipodes(c: Circle) -> tuple:
 
 
 def _distance_rotation(c: Circle, q):
-    """g_q = (r - q/(2r), y) as a raw pair, y the prime-subfield root of q(1 - q/(4r^2)).
+    """g_q = (r - q/(2r), y) as a raw pair, y the canonical root of q(1 - q/(4r^2)) in F.
 
     g_q lies on C((0,0), r) at squared distance (q/(2r))^2 + y^2 = q from
     the identity (r, 0), so rotating a point of any circle of radius r
     about its center by g_q or by g_q^-1 = (x, -y) reaches the points at
-    squared distance q from it.  Needs q(1 - q/(4r^2)) to be a
-    prime-subfield square, as it is when q satisfies the a.c.p.
+    squared distance q from it, and there are none when q(1 - q/(4r^2))
+    is not a square of F.  When q satisfies the a.c.p. it is a
+    prime-subfield square, and y its prime-subfield root.
     """
     field = c.field
     mul = field._mul
     r = c.radius.value
     x = field._sub(r, mul(q, field._inv(mul(field._canon(2), r))))
-    return x, field._prime_sqrt(mul(q, _rest(c, q)))
+    return x, field._sqrt(mul(q, _rest(c, q)))
 
 
 def _witness(c: Circle, q):
@@ -341,8 +341,8 @@ def _perfect_values(c: Circle):
     _first_other_perfect).  Finite fields give the parametrized
     values in ascending t and 4r^2 last; over Q the stream is infinite,
     starts with 4r^2, and then walks t through the positive rationals.
-    A finite field whose characteristic passes the enumeration cap
-    raises CircleTooLarge before the parameter scan.
+    Each value costs O(1) field operations, so the stream has no size
+    cap; the callers that build the whole list check one.
     """
     field = c.field
     if field.characteristic == 2:
@@ -354,10 +354,6 @@ def _perfect_values(c: Circle):
         )
     four_r2 = _four_r2(c)
     if field.is_finite():
-        if field.characteristic > _ENUMERATION_CAP:
-            raise CircleTooLarge(
-                f"{field.characteristic - 1} parameters exceed the cap {_ENUMERATION_CAP}"
-            )
         yield from _parametrized_perfect(c)
         if field._is_prime_subfield_square(four_r2) and _first_other_perfect(c) is not None:
             yield four_r2
@@ -384,10 +380,15 @@ def perfect_distances(c: Circle) -> dict:
     """The exact set of perfect distances of a finite-field circle.
 
     Returns a dict mapping each perfect q to a witness triangle.  Over Q
-    the set is countably infinite; use iter_perfect_distances there.
+    the set is countably infinite; use iter_perfect_distances there.  A
+    characteristic past the enumeration cap (10^6) raises CircleTooLarge
+    before any work.
     """
     if not c.field.is_finite():
         raise InfiniteField("use iter_perfect_distances over Q")
+    p = c.field.characteristic
+    if p > _ENUMERATION_CAP:
+        raise CircleTooLarge(f"{p - 1} parameters exceed the cap {_ENUMERATION_CAP}")
     return dict(iter_perfect_distances(c))
 
 
@@ -450,21 +451,20 @@ def points_at_distance(c: Circle, base: PlanePoint, q) -> list[PlanePoint]:
     """
     q = c.field(q)
     c.require(base)
+    if q.is_zero() or not _acp(c, q.value):
+        raise NotPerfect(f"{q} is not realizable as a perfect distance on {c}")
     return _points_at_distance(c, _raw(base), q.value)
 
 
 def _points_at_distance(c: Circle, base: tuple, q) -> list[PlanePoint]:
-    """points_at_distance for a raw base on `c` and a raw q.
+    """The circle points at squared distance q from a raw base on `c`, for a raw q.
 
-    Every returned point is checked to lie on the circle at squared
-    distance q from the base.
+    q(1 - q/(4r^2)) must be a square of F (see _distance_rotation), as it
+    is for a perfect q.  Every returned point is checked to lie on the
+    circle at squared distance q from the base.
     """
     field = c.field
     add, sub, mul = field._add, field._sub, field._mul
-    if q == field._zero or not _acp(c, q):
-        raise NotPerfect(
-            f"{FieldElement(field, q)} is not realizable as a perfect distance on {c}"
-        )
     x, y = _distance_rotation(c, q)
     (m1, m2), inv_r = _raw(c.center), field._inv(c.radius.value)
     u1, u2 = mul(sub(base[0], m1), inv_r), mul(sub(base[1], m2), inv_r)
@@ -484,21 +484,6 @@ def _points_at_distance(c: Circle, base: tuple, q) -> list[PlanePoint]:
                 f"from {_point(field, base)}"
             )
     return out
-
-
-def _rational_partner(c: Circle, seed: PlanePoint) -> PlanePoint | None:
-    """The first circle point other than `seed` rational to it, or None.
-
-    Exhaustive scan of a finite circle.  By the uniformity property a
-    rational partner of any point exists exactly when one exists for
-    the seed.
-    """
-    field = c.field
-    s = _raw(seed)
-    for xy in _raw_circle_points(c):
-        if xy != s and _rational(field, s, xy):
-            return _point(field, xy)
-    return None
 
 
 def iter_maximal_points(c: Circle, seed: PlanePoint):
@@ -531,7 +516,13 @@ def grow_maximal_set(c: Circle, seed: PlanePoint, prefix: int = 64) -> CircularP
 
     When r^2 lies outside the prime subfield, or no perfect distance
     exists, the best rational set through the seed has at most two
-    points and is found by exhaustive scan.
+    points: the seed and its least rational partner in raw order, if
+    any.  The partners are the seed rotated about the center by
+    g_q^(+-1) (see _distance_rotation) for each nonzero prime-subfield
+    square q with q(1 - q/(4r^2)) a square of F; no partner sits at
+    squared distance 0, which d(s g, s) = 2r(r - g1) takes only at the
+    identity g = (r, 0).  A characteristic past the enumeration cap
+    (10^6) raises CircleTooLarge before any work.
     """
     field = c.field
     c.require(seed)
@@ -541,15 +532,23 @@ def grow_maximal_set(c: Circle, seed: PlanePoint, prefix: int = 64) -> CircularP
         stream = iter_maximal_points(c, seed)
         pts = [next(stream) for _ in range(max(prefix, 1))]
         return CircularPointSet(c, pts, SetStatus.C_MAXIMAL, is_prefix=True)
-    pts = [seed]
+    p = field.characteristic
+    if p > _ENUMERATION_CAP:
+        raise CircleTooLarge(f"{p - 1} parameters exceed the cap {_ENUMERATION_CAP}")
+    pts, base = [seed], _raw(seed)
     if (c.radius * c.radius).in_prime_subfield():
-        base = _raw(seed)
         for q in _perfect_values(c):
             pts.extend(_points_at_distance(c, base, q))
-    if len(pts) == 1:  # no perfect distance
-        partner = _rational_partner(c, seed)
-        if partner is not None:
-            pts.append(partner)
+    if len(pts) == 1:  # no perfect distance: the least rational partner, if any
+        squares = (field._canon(k * k) for k in range(1, (p + 1) // 2))
+        partners = [
+            pt
+            for q in squares
+            if field._is_square(field._mul(q, _rest(c, q)))
+            for pt in _points_at_distance(c, base, q)
+        ]
+        if partners:
+            pts.append(min(partners, key=PlanePoint.sort_key))
     return CircularPointSet(c, pts, SetStatus.C_MAXIMAL)
 
 
@@ -629,9 +628,11 @@ def cmaximal_cardinality(field: FieldDescriptor, r) -> CardinalityAnswer:
     characteristic 3 (at most 2 when r^2 leaves the prime subfield);
     (char +- 1)/2 for larger finite characteristic, the sign fixed by
     whether -1 is a square in the prime subfield and by where r sits;
-    countably infinite over Q.  "At most two" answers carry a witness
-    pair through the marker point (0, r) when an exhaustive scan (up to
-    _WITNESS_CAP circle points) finds one.
+    countably infinite over Q.  "At most two" answers carry the witness
+    pair (marker (0, r), its least rational partner) that
+    grow_maximal_set finds from the marker, or None when there is no
+    partner; past the enumeration cap (characteristic above 10^6) the
+    witness is not looked for and is None.
     """
     r = field(r)
     if r.is_zero():
@@ -644,12 +645,11 @@ def cmaximal_cardinality(field: FieldDescriptor, r) -> CardinalityAnswer:
     r2 = r * r
     if not r2.in_prime_subfield():
         witness = None
-        if field.order + 1 <= _WITNESS_CAP:
+        if char <= _ENUMERATION_CAP:
             c = Circle(PlanePoint(field.zero, field.zero), r)
             marker = point_from_parameter(c, AT_INFINITY)
-            partner = _rational_partner(c, marker)
-            if partner is not None:
-                witness = (marker, partner)
+            partner = [pt for pt in grow_maximal_set(c, marker) if pt != marker]
+            witness = (marker, *partner) if partner else None
         return CardinalityAnswer("at_most_two", witness=witness)
     if char == 3:
         return CardinalityAnswer("finite", 2)

@@ -6,9 +6,10 @@ Points of C((0,0), r) form an abelian group under
 
 with identity (r, 0) and inverse (a1, -a2): the product of the norm-1
 elements (a1 + i a2)/r of F[i].  This module implements the product,
-powers, square roots (tied to perfect distances over prime fields),
-element orders, and the cyclic/acyclic classification of rational
-points via Gaussian integers.
+powers, square roots (one formula in every odd characteristic, which
+over prime fields is the perfect-distance criterion), element orders,
+and the cyclic/acyclic classification of rational points via Gaussian
+integers.  No answer scans the circle.
 
 Products, powers, orders and searches run on the circle's torus, one
 representative per field kind, chosen once per circle:
@@ -44,20 +45,16 @@ from .errors import (
 )
 from .fields import (
     _TRIAL_BOUND,
-    PrimeField,
-    Rationals,
     _power,
     _trial_division,
     contains_sqrt_minus_one,
     is_prime,
 )
-from .maximal import is_perfect_distance
 from .plane import (
     Circle,
     PlanePoint,
     _point,
     _raw,
-    _raw_circle_points,
     circle_cardinality,
     squared_distance,
 )
@@ -337,56 +334,38 @@ def induced_squared_distance(a: RotationElement):
     return squared_distance(a.point, PlanePoint(a.circle.radius, a.field.zero))
 
 
-def _closed_form_sqrt(field) -> bool:
-    """Whether rot_sqrt answers over `field` by the perfect-distance criterion.
-
-    The criterion holds over F_p with p > 5 and over Q; every other
-    supported field is finite (F_2, F_3, F_5, F_4 and each F_{p^2}) and
-    is searched exhaustively.
-    """
-    return isinstance(field, (PrimeField, Rationals)) and field.characteristic not in (2, 3, 5)
-
-
-def _exhaustive_sqrt(a: RotationElement):
-    t = _torus(a.field, a.circle.radius.value)
-    target = t.to_torus(_raw(a.point))
-    roots = [b for b in _raw_circle_points(a.circle) if t.same(t.pow(t.to_torus(b), 2), target)]
-    # the least root in PlanePoint.sort_key order, which is raw order
-    return _element(a.circle, roots[0]) if roots else None
-
-
 def rot_sqrt(a: RotationElement) -> RotationElement | None:
     """A square root of `a` in the rotation group, or None.
 
-    Over a prime field of characteristic not in {2, 3, 5} (and over Q) a
-    root exists exactly when the induced squared distance is perfect;
-    it is then b2 = sqrt((2r^2 - 2 a1 r)/4), b1 = r a2 / (2 b2), with b2
-    the canonical field root so the output is deterministic (the other
-    root is the mirror (-b1, -b2)).  The identity, whose induced
-    distance 0 is not perfect, is special-cased to return itself.
-
-    Over every other field the equivalence is not claimed, and the
-    circle is searched for the least root in raw order; circles of more
-    than 10^6 points raise CircleTooLarge before the search.
+    For a = (a1, a2) other than the identity, b^2 = a forces
+    b2^2 = r(r - a1)/2, and conversely, when r(r - a1)/2 = beta^2 in F,
+    b = (r a2/(2 beta), beta) is a root, because a2^2 = (r - a1)(r + a1).
+    So a has a root exactly when r(r - a1)/2, a quarter of the induced
+    squared distance 2r(r - a1), is a square in F; the root returned
+    takes beta as the field's canonical square root (the other root is
+    -b).  Over F_p with p > 5 and over Q that square test is the paper's
+    criterion: the induced distance is perfect.  The identity returns
+    itself.  In characteristic 2 the group is (F, +), where only the
+    identity is a square.
     """
-    field = a.field
-    if not _closed_form_sqrt(field):
-        return _exhaustive_sqrt(a)
     if a.is_identity():
         return a  # roots are (r, 0) and (-r, 0); return the identity
-    r = a.circle.radius
-    induced = induced_squared_distance(a)
-    if not is_perfect_distance(a.circle, induced):
+    field = a.field
+    if field.characteristic == 2:
         return None
-    four = field.from_int(4)
-    b2 = (induced / four).sqrt()
-    b1 = r * a.point.y / (field.from_int(2) * b2)
-    b = RotationElement(a.circle, PlanePoint(b1, b2))
-    t = _torus(a.field, a.circle.radius.value)
-    root = t.to_torus(_raw(b.point))
+    mul, inv, r = field._mul, field._inv, a.circle.radius.value
+    a1, a2 = _raw(a.point)
+    half_r = mul(r, inv(field._canon(2)))
+    beta2 = mul(half_r, field._sub(r, a1))
+    if not field._is_square(beta2):
+        return None
+    beta = field._sqrt(beta2)
+    b = (mul(mul(half_r, a2), inv(beta)), beta)
+    t = _torus(field, r)
+    root = t.to_torus(b)
     if not t.same(t.mul(root, root), t.to_torus(_raw(a.point))):
         raise AssertionError(f"square-root construction failed for {a}")
-    return b
+    return _element(a.circle, b)
 
 
 def _factorize(n: int) -> dict[int, int]:

@@ -68,32 +68,36 @@ def prime_theorem_record(p: int, graph_max: int = 97) -> dict:
     The unit circle is partitioned once; scaling by r carries its two
     classes (and its marker (0, 1)) to those of radius r, because
     squared distances scale by the square r^2.  `class_size` is the
-    measured size of the first class, `expected` the theorem's.
+    measured size of the first class, `expected` the theorem's.  A
+    mismatch names its failed check (`class_sizes` or `two_cliques`) in
+    `failed`, and the first radius where it failed in `counterexample`.
     """
     field = PrimeField(p)
     first, second = _raw_partition(circle(field, (0, 0), 1))
     squares = prime_square_values(p)
     expected = cmaximal_cardinality(field, 1).n
+    checks = {"class_sizes": True, "two_cliques": True}
     failure = None
     graph_checked = p <= graph_max
     for r in range(1, p):
         class_a = {(r * x % p, r * y % p) for x, y in first}
         class_b = {(r * x % p, r * y % p) for x, y in second}
         if len(class_a) != expected or len(class_b) != expected:
+            checks["class_sizes"] = False
             failure = {"r": r, "sizes": [len(class_a), len(class_b)]}
             break
         if graph_checked and not _is_two_clique_graph(p, squares, class_a, class_b):
+            checks["two_cliques"] = False
             failure = {"r": r, "reason": "rationality graph is not two disjoint cliques"}
             break
-    record = {
+    record = _with_verdict({
         "p": p,
         "radii": p - 1,
         "class_count": 2,
         "class_size": len(first),
         "expected": expected,
         "graph_checked": graph_checked,
-        "match": failure is None,
-    }
+    }, checks)
     if failure is not None:
         record["counterexample"] = failure
     return record

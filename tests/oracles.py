@@ -8,7 +8,8 @@ Two kinds live here:
   `quadratic_squared_distance`, `brute_circle_quadratic`,
   `rationality_graph_prime`, `connected_components`,
   `rational_triangle_sides`, `perfect_distances_by_triangles`,
-  `point_at_distance`, `rot_mul_residues`, `rot_pow_residues`,
+  `point_at_distance`, `least_rational_partner`, `residue_ops`,
+  `rotation_roots`, `rot_mul_residues`, `rot_pow_residues`,
   `rot_mul_fractions`, `square_and_multiply`, `fraction_is_square`,
   and the Gaussian-integer branch of `identity_power_sweep` over Q.
 * Exhaustive scans that drive the library's own field elements, points
@@ -156,6 +157,36 @@ def perfect_distances_by_triangles(p: int, r: int) -> set:
 def point_at_distance(points, distance, origin, q):
     """The least of `points` at squared distance q from `origin`, by scan; None if there is none."""
     return min((pt for pt in points if distance(origin, pt) == q), default=None)
+
+
+def least_rational_partner(points, distance, rational, seed):
+    """The least of `points` other than `seed` at rational squared distance from it, by scan."""
+    return min((pt for pt in points if pt != seed and rational(distance(seed, pt))), default=None)
+
+
+def residue_ops(p: int, f: tuple | None = None) -> tuple:
+    """(add, sub, mul) on raw values: residues mod p, or coefficient pairs of F_p[x]/(f)."""
+    if f is None:
+        return (lambda a, b: (a + b) % p, lambda a, b: (a - b) % p, lambda a, b: a * b % p)
+    return (
+        lambda a, b: ((a[0] + b[0]) % p, (a[1] + b[1]) % p),
+        lambda a, b: ((a[0] - b[0]) % p, (a[1] - b[1]) % p),
+        lambda a, b: quadratic_mul(p, f, a, b),
+    )
+
+
+def rotation_roots(points, ops, r, a) -> list:
+    """The points b of C((0,0), r) with b * b = a in the rotation group, by scan.
+
+    b * b = ((b1^2 - b2^2)/r, 2 b1 b2/r), so b is a root exactly when
+    b1^2 - b2^2 = r a1 and 2 b1 b2 = r a2; `ops` is residue_ops' triple.
+    """
+    add, sub, mul = ops
+    ra1, ra2 = mul(r, a[0]), mul(r, a[1])
+    return sorted(
+        b for b in points
+        if sub(mul(b[0], b[0]), mul(b[1], b[1])) == ra1 and add(mul(b[0], b[1]), mul(b[0], b[1])) == ra2
+    )
 
 
 def rot_mul_residues(p: int, r: int, a: tuple, b: tuple) -> tuple:

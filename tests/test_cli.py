@@ -120,6 +120,7 @@ def test_mismatch_names_failed_check(capsys, monkeypatch):
     assert code == 1
     for rec in records:
         assert not rec["match"] and rec["class_size"] == rec["expected"] + 1, rec
+        assert rec["failed"] == ["class_sizes"], rec
         assert rec["counterexample"]["sizes"] == [rec["expected"] + 1, rec["expected"] - 1]
     monkeypatch.setattr(sweeps, "_raw_partition", partition)
     code, out, _ = run_cli(capsys, "verify", "mod4", "--pmax", "30")
@@ -151,6 +152,25 @@ def test_mismatch_names_failed_check(capsys, monkeypatch):
             assert not rec["match"] and rec["failed"] == ["grown_size"], rec
 
 
+def test_prime_theorem_record_names_failed_check(monkeypatch):
+    assert "failed" not in sweeps.prime_theorem_record(13)
+    # a theorem size one too large fails the class sizes at the first radius
+    claim = sweeps.cmaximal_cardinality
+    monkeypatch.setattr(sweeps, "cmaximal_cardinality",
+                        lambda field, r: CardinalityAnswer("finite", claim(field, r).n + 1))
+    rec = sweeps.prime_theorem_record(13)
+    assert not rec["match"] and rec["failed"] == ["class_sizes"], rec
+    assert rec["counterexample"] == {"r": 1, "sizes": [6, 6]}
+    monkeypatch.setattr(sweeps, "cmaximal_cardinality", claim)
+    # a rationality graph that is not two cliques fails only that check
+    monkeypatch.setattr(sweeps, "_is_two_clique_graph", lambda p, squares, a, b: False)
+    rec = sweeps.prime_theorem_record(13)
+    assert not rec["match"] and rec["failed"] == ["two_cliques"], rec
+    assert rec["counterexample"]["r"] == 1
+    # past graph_max the graph is not built, so nothing fails
+    assert sweeps.prime_theorem_record(13, graph_max=11)["match"]
+
+
 def test_verify_table(capsys):
     code, out, _ = run_cli(capsys, "verify", "table")
     assert code == 0
@@ -173,15 +193,13 @@ def test_rot_commands(capsys):
     assert json.loads(out)["result"] == {"x": "14/25", "y": "48/25"}
     code, out, _ = run_cli(capsys, "rot", "sqrt", "--field", "Fp:13", "--radius", "1",
                            "--point", "7,11")
-    assert json.loads(out)["result"] == {"x": "2", "y": "6"}
-    assert json.loads(out)["method"] == "closed-form"
-    # outside F_p (p > 5) and Q the root is searched for, and the record says so
+    assert json.loads(out) == {"result": {"x": "2", "y": "6"}, "checks": {"on_circle": True}}
+    # one formula in every odd characteristic, extension fields included
     code, out, _ = run_cli(capsys, "rot", "sqrt", "--field", "Fp2:7,x^2+1", "--radius", "1",
                            "--point", "5,5")
     assert code == 0
-    assert json.loads(out) == {"result": {"x": "2a", "y": "4a"}, "checks": {"on_circle": True},
-                               "method": "exhaustive"}
-    # there is no flag to choose the method
+    assert json.loads(out) == {"result": {"x": "5a", "y": "3a"}, "checks": {"on_circle": True}}
+    # there is no flag to choose how the root is found
     with pytest.raises(SystemExit) as exc:
         main(["rot", "sqrt", "--field", "Fp:13", "--radius", "1", "--point", "7,11", "--unchecked"])
     assert exc.value.code == 2

@@ -8,6 +8,7 @@ import pytest
 
 import circlering
 from circlering.errors import (
+    CircleTooLarge,
     InfiniteField,
     NotPerfect,
     RadiusSquaredNotInPrimeField,
@@ -47,6 +48,7 @@ from oracles import (
     brute_circle_quadratic,
     check_uniformity,
     connected_components,
+    least_rational_partner,
     perfect_distances_by_triangles,
     point_at_distance,
     points_have_uniformity,
@@ -56,7 +58,7 @@ from oracles import (
     rationality_graph_prime,
     squares_of,
 )
-from circlering.rotation import rot_mul, rotation_element
+from circlering.rotation import rot_mul, rot_sqrt, rotation_element
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -341,6 +343,85 @@ def test_grow_maximal_set_fallbacks():
     c9 = Circle(PlanePoint(f9.zero, f9.zero), f9((1, 1)))
     seed = enumerate_circle(c9)[0]
     assert len(grow_maximal_set(c9, seed)) <= 2
+
+
+def test_grow_partner_matches_scan():
+    # circles without a perfect distance: growth from every seed gives the
+    # seed and its least rational partner found by an oracle scan, and the
+    # cardinality witness is the marker (0, r) with its least partner
+    cases = []
+    for p in [p for p in primes_up_to(31) if p % 2]:
+        for center in ((0, 0), (1, 2)):
+            for r in (1, 2):
+                cases.append((circle(PrimeField(p), center, r), brute_circle_prime(p, *center, r),
+                              lambda a, b, p=p: ((a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2) % p,
+                              squares_of(p)))
+    for field in (QuadraticExtension(3, (1, 0)), QuadraticExtension(5, (3, 0)), F49,
+                  QuadraticExtension(11, (1, 0))):
+        p, f = field.p, (field.f0, field.f1)
+        for r in ((1, 0), (2, 0), (0, 1), (1, 1)):
+            pts = brute_circle_quadratic(p, f, ((0, 0), (0, 0)), r)
+            for m in (0, 1):  # centres (0, 0) and (1, 2), by translation
+                cases.append((circle(field, ((m, 0), (2 * m, 0)), r),
+                              {(((x[0] + m) % p, x[1]), ((y[0] + 2 * m) % p, y[1])) for x, y in pts},
+                              lambda a, b, p=p, f=f: quadratic_squared_distance(p, f, a, b),
+                              {(s, 0) for s in squares_of(p)}))
+    sizes = []
+    for c, pts, distance, squares in cases:
+        rational = squares.__contains__
+        for seed in sorted(pts):
+            grown = [(g.x.value, g.y.value) for g in grow_maximal_set(c, point(c.field, *seed))]
+            if len(grown) > 2:
+                break  # a pairwise-rational triple: growth went through perfect distances
+            partner = least_rational_partner(pts, distance, rational, seed)
+            assert grown == sorted({seed} if partner is None else {seed, partner}), (c, seed)
+            sizes.append(len(grown))
+        if c.center.x.is_zero() and c.center.y.is_zero() and not (c.radius * c.radius).in_prime_subfield():
+            marker = (c.center.x.value, c.radius.value)
+            partner = least_rational_partner(pts, distance, rational, marker)
+            witness = cmaximal_cardinality(c.field, c.radius).witness
+            got = witness and [(w.x.value, w.y.value) for w in witness]
+            assert got == (partner and [marker, partner]), c
+    assert len(sizes) == 576 and set(sizes) == {1, 2}, len(sizes)
+
+
+def test_single_answers_never_scan_the_circle(monkeypatch):
+    # a root, a grown pair and a cardinality witness come by formula:
+    # none of them lists the circle, here of 516,960 and 994,008 points
+    def no_scan(c):
+        raise AssertionError(f"{c} was scanned")
+
+    for module in (circlering.rotation, circlering.maximal):
+        monkeypatch.setattr(module, "_raw_circle_points", no_scan, raising=False)
+    f719 = QuadraticExtension(719, (1, 0))
+    c719 = circle(f719, (0, 0), 1)
+    assert rot_sqrt(rotation_element(c719, 0, 1)) == rotation_element(c719, 162, 162)
+    # r = a has r^2 = 995 + 996a outside F_997, so no perfect distance exists
+    f = QuadraticExtension(997, (2, 1))
+    c = circle(f, (0, 0), (0, 1))
+    marker, partner = point(f, 0, (0, 1)), point(f, (0, 331), (331, 332))
+    assert grow_maximal_set(c, marker).points == (marker, partner)
+    assert cmaximal_cardinality(f, c.radius).witness == (marker, partner)
+
+
+def test_streams_have_no_size_cap():
+    # past the enumeration cap the perfect distances and the maximal set
+    # still stream item by item; only the calls that build a list refuse
+    big = PrimeField(2**61 - 1)
+    c = circle(big, (0, 0), 1)
+    q, triangle = next(iter_perfect_distances(c))
+    assert is_perfect_distance(c, q) and len(triangle) == 3
+    stream = iter_maximal_points(c, point(big, 0, 1))
+    head = [next(stream) for _ in range(5)]
+    for a, b in combinations(head, 2):
+        assert is_rational_distance(c, a, b)
+    with pytest.raises(CircleTooLarge):
+        perfect_distances(c)
+    with pytest.raises(CircleTooLarge):
+        grow_maximal_set(c, head[0])
+    ext = QuadraticExtension(2**61 - 1, (1, 0))
+    answer = cmaximal_cardinality(ext, ext((1, 1)))  # r^2 = 2a
+    assert answer.kind == "at_most_two" and answer.witness is None
 
 
 def test_grow_maximal_set_over_q():

@@ -33,11 +33,15 @@ from circlering.rotation import (
 )
 
 from oracles import (
+    brute_circle_prime,
+    brute_circle_quadratic,
     identity_power_sweep,
     iterated_rot_pow,
+    residue_ops,
     rot_mul_fractions,
     rot_mul_residues,
     rot_pow_residues,
+    rotation_roots,
     square_and_multiply,
 )
 
@@ -235,6 +239,20 @@ def test_rot_sqrt_golden():
     for e in stuck:
         assert rot_sqrt(e) is None
         assert all(rot_mul(b, b) != e for b in group_elements(c7))
+    # beta is the field's canonical root in every odd characteristic, and
+    # the identity is its own root, in characteristic 2 too
+    f49 = QuadraticExtension(7, (1, 0))
+    c49 = circle(f49, (0, 0), 1)
+    assert rot_sqrt(rotation_element(c49, 5, 5)) == rotation_element(c49, (0, 5), (0, 3))
+    f9 = QuadraticExtension(3, (1, 0))
+    c9 = circle(f9, (0, 0), 1)
+    assert rot_sqrt(rotation_element(c9, 0, 2)) == rotation_element(c9, (0, 2), (0, 1))
+    c3 = circle(PrimeField(3), (0, 0), 2)
+    assert rot_sqrt(rotation_element(c3, 2, 0)) == rotation_element(c3, 2, 0)
+    f4 = QuadraticExtension(2, (1, 1))
+    for r in ((1, 0), (0, 1), (1, 1)):
+        c = circle(f4, (0, 0), r)
+        assert rot_sqrt(identity_element(c)) == identity_element(c)
 
 
 def test_rot_sqrt_exists_iff_induced_perfect():
@@ -255,12 +273,12 @@ def test_rot_sqrt_exists_iff_induced_perfect():
                     )
 
 
-def test_rot_sqrt_exhaustive_fields():
+def test_rot_sqrt_small_fields():
     f5 = PrimeField(5)
     c5 = circle(f5, (0, 0), 1)
     a = rotation_element(c5, 4, 0)
-    # F_5 is searched: (0, +-1) square to (-1, 0), although the induced
-    # distance 4 is not perfect
+    # the square test, not perfectness, decides: (0, +-1) square to
+    # (-1, 0) over F_5, although the induced distance 4 is not perfect
     root = rot_sqrt(a)
     assert root is not None and rot_mul(root, root) == a
     assert not is_perfect_distance(c5, induced_squared_distance(a))
@@ -274,6 +292,31 @@ def test_rot_sqrt_exhaustive_fields():
             exists = any(rot_mul(b, b) == e for b in elements)
             assert (got is not None) == exists
             assert got is None or rot_mul(got, got) == e
+
+
+def test_rot_sqrt_matches_root_scan():
+    # whether a root exists, and that it is one, against a scan of the circle
+    # in the oracles' own arithmetic, over every element of small circles
+    cases = [(PrimeField(p), None, r) for p in (2, 3, 5) for r in (1, 2) if r % p]
+    for p, f in ((2, (1, 1)), (3, (1, 0)), (5, (3, 0)), (7, (1, 0)), (11, (1, 0))):
+        field = QuadraticExtension(p, f)
+        cases += [(field, f, r) for r in ((1, 0), (2, 0), (0, 1), (1, 1)) if r[0] % p or r[1]]
+    checked = 0
+    for field, f, r in cases:
+        p = field.characteristic
+        if f is None:
+            pts = brute_circle_prime(p, 0, 0, r)
+        else:
+            pts = brute_circle_quadratic(p, f, ((0, 0), (0, 0)), r)
+        c = circle(field, (field.zero.value, field.zero.value), r)
+        ops = residue_ops(p, f)
+        for a in sorted(pts):
+            roots = rotation_roots(pts, ops, r, a)
+            got = rot_sqrt(rotation_element(c, *a))
+            assert (got is not None) == bool(roots), (c, a)
+            assert got is None or (got.point.x.value, got.point.y.value) in roots, (c, a, got)
+            checked += 1
+    assert checked == 830, checked
 
 
 def test_group_order_and_element_orders():
@@ -373,7 +416,7 @@ def test_rotation_group_over_extension_field():
     for a in elements:
         assert rot_mul(a, a.inverse()) == e
         assert group_order(c9) % element_order(a) == 0
-    # square roots are searched for over extension fields
+    # square roots over extension fields follow the same formula
     for a in elements:
         got = rot_sqrt(a)
         exists = any(rot_mul(b, b) == a for b in elements)
