@@ -17,7 +17,6 @@ from multiprocessing import Pool
 from . import keyex, maximal, rotation, sweeps
 from .errors import CircleRingError, ParseError
 from .fields import parse_descriptor
-from .keyex import _point_json
 from .plane import Circle, PlanePoint, enumerate_circle
 from .rotation import RotationElement
 
@@ -52,6 +51,10 @@ def _parse_circle(args) -> Circle:
     field = parse_descriptor(args.field)
     center = _parse_point(field, args.center)
     return Circle(center, field.parse(args.radius))
+
+
+def _point_json(p: PlanePoint) -> dict:
+    return {"x": str(p.x), "y": str(p.y)}
 
 
 def _circle_json(c: Circle) -> dict:
@@ -164,7 +167,6 @@ def _cmd_verify_prime_theorem(args) -> int:
             records = pool.starmap(
                 sweeps.prime_theorem_record, [(p, args.graph_max) for p in primes]
             )
-        records.sort(key=lambda rec: rec["p"])
     else:
         records = [sweeps.prime_theorem_record(p, args.graph_max) for p in primes]
     return _emit_sweep(records, args.pretty, {"pmax": args.pmax})
@@ -206,6 +208,16 @@ def _cmd_rot(args) -> int:
     return 0
 
 
+def _transcript_json(t: keyex.Transcript) -> dict:
+    doc = {"field": t.base.field.to_text(), "radius": str(t.base.circle.radius)}
+    for name in ("base", "sent_a", "sent_b", "shared_a", "shared_b"):
+        doc[name] = _point_json(getattr(t, name).point)
+    doc["equal"] = t.equal
+    if t.dlog_iterations is not None:
+        doc["dlog_iterations"] = t.dlog_iterations
+    return doc
+
+
 def _cmd_keyex_demo(args) -> int:
     base = _rot_element(args)
     exp_cap = args.exp_cap
@@ -216,7 +228,7 @@ def _cmd_keyex_demo(args) -> int:
     params = keyex.ProtocolParams(base, exponent_cap=exp_cap)
     transcript = keyex.simulate_exchange(params, args.seed_a, args.seed_b, dlog_cap=args.dlog_cap)
     with _long_ints_printable():
-        doc = transcript.to_json_dict()
+        doc = _transcript_json(transcript)
     if args.dlog_cap:
         doc.setdefault("dlog_iterations", None)
         doc["dlog_cap"] = args.dlog_cap
@@ -241,6 +253,14 @@ def _nonnegative_int(text: str) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--pretty", action="store_true", help="indented JSON output")
+    on_circle = argparse.ArgumentParser(add_help=False, parents=[common])
+    on_circle.add_argument("--field", required=True)
+    on_circle.add_argument("--center", default="0,0")
+    on_circle.add_argument("--radius", required=True)
+    rot_point = argparse.ArgumentParser(add_help=False, parents=[common])
+    rot_point.add_argument("--field", required=True)
+    rot_point.add_argument("--radius", required=True)
+    rot_point.add_argument("--point", required=True)
 
     top = argparse.ArgumentParser(
         prog="circlering",
@@ -255,19 +275,13 @@ def _build_parser() -> argparse.ArgumentParser:
         ("partition", _cmd_circle_partition),
         ("cliques", _cmd_circle_cliques),
     ):
-        p = circle_sub.add_parser(name, parents=[common])
-        p.add_argument("--field", required=True)
-        p.add_argument("--center", default="0,0")
-        p.add_argument("--radius", required=True)
+        p = circle_sub.add_parser(name, parents=[on_circle])
         if name == "cliques":
             p.add_argument("--seed-point", required=True)
         p.set_defaults(run=fn)
 
     perfect = sub.add_parser("perfect", help="perfect squared distances of a circle",
-                             parents=[common])
-    perfect.add_argument("--field", required=True)
-    perfect.add_argument("--center", default="0,0")
-    perfect.add_argument("--radius", required=True)
+                             parents=[on_circle])
     perfect.set_defaults(run=_cmd_perfect)
 
     verify = sub.add_parser("verify", help="theorem verification sweeps")
@@ -287,10 +301,7 @@ def _build_parser() -> argparse.ArgumentParser:
     rot = sub.add_parser("rot", help="rotation-group algebra")
     rot_sub = rot.add_subparsers(dest="rot_cmd", required=True)
     for name in ("mul", "pow", "sqrt", "order"):
-        p = rot_sub.add_parser(name, parents=[common])
-        p.add_argument("--field", required=True)
-        p.add_argument("--radius", required=True)
-        p.add_argument("--point", required=True)
+        p = rot_sub.add_parser(name, parents=[rot_point])
         if name == "mul":
             p.add_argument("--point2", required=True)
         if name == "pow":
@@ -299,10 +310,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     kx = sub.add_parser("keyex", help="key-exchange demo")
     kx_sub = kx.add_subparsers(dest="keyex_cmd", required=True)
-    demo = kx_sub.add_parser("demo", parents=[common])
-    demo.add_argument("--field", required=True)
-    demo.add_argument("--radius", required=True)
-    demo.add_argument("--point", required=True)
+    demo = kx_sub.add_parser("demo", parents=[rot_point])
     demo.add_argument("--seed-a", type=int, default=0)
     demo.add_argument("--seed-b", type=int, default=1)
     demo.add_argument("--exp-cap", type=int, default=None)

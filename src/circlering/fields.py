@@ -20,6 +20,7 @@ test behind every prime modulus (exact below psi_13 =
 3317044064679887385961981, Baillie-PSW above).
 """
 
+import functools
 import itertools
 import math
 import re
@@ -309,7 +310,11 @@ class FieldElement:
 
 
 class FieldDescriptor:
-    """Shared behaviour of the three field kinds."""
+    """Shared behaviour of the three field kinds.
+
+    The prime-subfield methods default to those of a field that is its
+    own prime subfield, as F_p and Q are; QuadraticExtension overrides them.
+    """
 
     kind = "?"
     characteristic = 0
@@ -317,6 +322,11 @@ class FieldDescriptor:
     _zero = 0  # raw value of the zero element
 
     def __call__(self, value) -> FieldElement:
+        """The element named by `value`; an element of this field is returned as is."""
+        if isinstance(value, FieldElement):
+            if value.field != self:
+                raise DescriptorMismatch(f"{value.field} element given to {self}")
+            return value
         return FieldElement(self, self._canon(value))
 
     def from_int(self, n: int) -> FieldElement:
@@ -340,6 +350,18 @@ class FieldDescriptor:
 
     def _raw_elements(self):
         raise InfiniteField(f"{self} is infinite")
+
+    def _in_prime_subfield(self, a):
+        return True
+
+    def _is_prime_subfield_square(self, a):
+        return self._is_square(a)
+
+    def _prime_sqrt(self, a):
+        return self._sqrt(a)
+
+    def _format(self, a):
+        return str(a)
 
     def parse(self, text: str) -> FieldElement:
         """The element written as `text`; ParseError when it names none."""
@@ -381,10 +403,6 @@ class PrimeField(FieldDescriptor):
         return hash(("prime", self.p))
 
     def _canon(self, v):
-        if isinstance(v, FieldElement):
-            if v.field != self:
-                raise DescriptorMismatch(f"{v.field} element given to {self}")
-            return v.value
         return int(v) % self.p
 
     def _add(self, a, b):
@@ -410,7 +428,9 @@ class PrimeField(FieldDescriptor):
             return True
         return pow(a, (self.p - 1) // 2, self.p) == 1
 
+    @functools.cached_property
     def _non_square(self):
+        """The least non-square, found on first use and kept by the field."""
         return next(z for z in range(2, self.p) if not self._is_square(z))
 
     def _sqrt(self, a):
@@ -419,18 +439,6 @@ class PrimeField(FieldDescriptor):
             return a
         r = _tonelli_shanks(self, a)
         return min(r, self.p - r)
-
-    def _in_prime_subfield(self, a):
-        return True
-
-    def _is_prime_subfield_square(self, a):
-        return self._is_square(a)
-
-    def _prime_sqrt(self, a):
-        return self._sqrt(a)
-
-    def _format(self, a):
-        return str(a)
 
     def _parse(self, text):
         return int(text.strip()) % self.p
@@ -464,7 +472,7 @@ def _tonelli_shanks(field, a):
     while q % 2 == 0:
         q //= 2
         s += 1
-    c = power(field._non_square(), q)
+    c = power(field._non_square, q)
     x = power(a, (q + 1) // 2)
     t = power(a, q)
     m = s
@@ -530,10 +538,6 @@ class QuadraticExtension(FieldDescriptor):
         return hash(("quadratic", self.p, self.f0, self.f1))
 
     def _canon(self, v):
-        if isinstance(v, FieldElement):
-            if v.field != self:
-                raise DescriptorMismatch(f"{v.field} element given to {self}")
-            return v.value
         if isinstance(v, int):
             return (v % self.p, 0)
         c0, c1 = v
@@ -574,7 +578,9 @@ class QuadraticExtension(FieldDescriptor):
         # a is a square exactly when its norm a^(p+1) is a square of F_p
         return a == (0, 0) or self._prime._is_square(self._norm(a))
 
+    @functools.cached_property
     def _non_square(self):
+        """The first non-square c0 + a, found on first use and kept by the field."""
         return next((c0, 1) for c0 in range(self.p) if not self._is_square((c0, 1)))
 
     def _sqrt(self, a):
@@ -650,10 +656,6 @@ class Rationals(FieldDescriptor):
         return hash("rationals")
 
     def _canon(self, v):
-        if isinstance(v, FieldElement):
-            if v.field != self:
-                raise DescriptorMismatch(f"{v.field} element given to {self}")
-            return v.value
         return Fraction(v)
 
     def _add(self, a, b):
@@ -683,18 +685,6 @@ class Rationals(FieldDescriptor):
     def _sqrt(self, a):
         # canonical choice: the nonnegative root
         return Fraction(math.isqrt(a.numerator), math.isqrt(a.denominator))
-
-    def _in_prime_subfield(self, a):
-        return True
-
-    def _is_prime_subfield_square(self, a):
-        return self._is_square(a)
-
-    def _prime_sqrt(self, a):
-        return self._sqrt(a)
-
-    def _format(self, a):
-        return str(a)
 
     def _parse(self, text):
         return Fraction(text.strip())

@@ -141,25 +141,6 @@ class Transcript:
     equal: bool
     dlog_iterations: int | None = None
 
-    def to_json_dict(self) -> dict:
-        d = {
-            "field": self.base.field.to_text(),
-            "radius": str(self.base.circle.radius),
-            "base": _point_json(self.base.point),
-            "sent_a": _point_json(self.sent_a.point),
-            "sent_b": _point_json(self.sent_b.point),
-            "shared_a": _point_json(self.shared_a.point),
-            "shared_b": _point_json(self.shared_b.point),
-            "equal": self.equal,
-        }
-        if self.dlog_iterations is not None:
-            d["dlog_iterations"] = self.dlog_iterations
-        return d
-
-
-def _point_json(p: PlanePoint) -> dict:
-    return {"x": str(p.x), "y": str(p.y)}
-
 
 def simulate_exchange(
     params: ProtocolParams,

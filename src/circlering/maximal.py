@@ -491,17 +491,15 @@ def iter_maximal_points(c: Circle, seed: PlanePoint):
 
     Yields the seed and then, for each perfect distance in stream
     order, the one or two circle points realizing it from the seed.
+    No point repeats: the perfect distances are distinct and nonzero,
+    and each point's squared distance from the seed names its q.
     Over Q this never terminates (the set is countably infinite).
     """
     c.require(seed)
     yield seed
-    emitted = {seed}
     base = _raw(seed)
     for q in _perfect_values(c):
-        for p in _points_at_distance(c, base, q):
-            if p not in emitted:
-                emitted.add(p)
-                yield p
+        yield from _points_at_distance(c, base, q)
 
 
 def grow_maximal_set(c: Circle, seed: PlanePoint, prefix: int = 64) -> CircularPointSet:

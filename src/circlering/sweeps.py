@@ -117,18 +117,11 @@ def default_table_cells():
     does not; plus the characteristic-2 sanity rows F_2 and F_4.
     """
     cells = []
-    f3 = PrimeField(3)
-    f9 = QuadraticExtension(3, (1, 0))
-    cells += [(f3, f3(1)), (f9, f9(1)), (f9, f9((0, 1))), (f9, f9((1, 1)))]
-    f5 = PrimeField(5)
-    f25 = QuadraticExtension(5, (3, 0))
-    cells += [(f5, f5(2)), (f25, f25(1)), (f25, f25((0, 1))), (f25, f25((1, 1)))]
-    f7 = PrimeField(7)
-    f49 = QuadraticExtension(7, (1, 0))
-    cells += [(f7, f7(1)), (f49, f49(1)), (f49, f49((0, 1))), (f49, f49((1, 1)))]
-    f13 = PrimeField(13)
-    f169 = QuadraticExtension(13, (11, 0))
-    cells += [(f13, f13(1)), (f169, f169(1)), (f169, f169((0, 1))), (f169, f169((1, 1)))]
+    # (p, f0, r_p): the extension modulus x^2 + f0 and the prime field's radius
+    for p, f0, r_p in ((3, 1, 1), (5, 3, 2), (7, 1, 1), (13, 11, 1)):
+        fp = PrimeField(p)
+        fq = QuadraticExtension(p, (f0, 0))
+        cells += [(fp, fp(r_p)), (fq, fq(1)), (fq, fq((0, 1))), (fq, fq((1, 1)))]
     f2 = PrimeField(2)
     f4 = QuadraticExtension(2, (1, 1))
     cells += [(f2, f2(1)), (f4, f4(1)), (f4, f4((0, 1)))]

@@ -151,6 +151,13 @@ def test_arithmetic_errors():
         F7(1) * Q(1)
 
 
+def test_call_checks_the_descriptor_of_an_element():
+    for field, element in ((F7, F13(1)), (Q, F7(1)), (F49, F7(3))):
+        with pytest.raises(DescriptorMismatch):
+            field(element)
+    assert F13(F13(5)) == F13(5)
+
+
 def test_field_axioms_randomized(rng):
     fields = [F7, PrimeField(101), F49, QuadraticExtension(3, (1, 0)), Q]
 
@@ -253,6 +260,25 @@ def test_extension_sqrt_roundtrip():
                 root = e.sqrt()
                 assert root * root == e
                 assert root.sort_key() <= (-root).sort_key()
+
+
+def test_non_square_found_once_per_field():
+    # Tonelli-Shanks needs a non-square; two roots in one field search
+    # for it once.  The least non-square of F_73 is 5, and a = (0, 1)
+    # is one of F_{13^2} with a^2 = -11.
+    cases = (
+        (PrimeField(73), (6, 7), [36, 2, 3, 4, 5, 49]),
+        (QuadraticExtension(13, (11, 0)), ((1, 1), (2, 3)), [(3, 2), (0, 1), (9, 12)]),
+    )
+    for field, roots, expected in cases:
+        tested = []
+        is_square = field._is_square
+        field._is_square = lambda a: tested.append(a) or is_square(a)
+        for v in roots:
+            root = (field(v) * field(v)).sqrt()
+            assert root in (field(v), -field(v))
+        # each sqrt tests its argument; only the first also searches
+        assert tested == expected
 
 
 def test_sqrt_minus_one_criterion():

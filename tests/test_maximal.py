@@ -404,6 +404,16 @@ def test_single_answers_never_scan_the_circle(monkeypatch):
     assert cmaximal_cardinality(f, c.radius).witness == (marker, partner)
 
 
+def test_maximal_stream_repeats_no_point():
+    # the stream keeps no record of what it yielded: distinct perfect
+    # distances give distinct points, and none is the seed
+    for f, r in ((PrimeField(61), 2), (QuadraticExtension(7, (1, 0)), (0, 1))):
+        c = circle(f, (1, 2), r)
+        seed = enumerate_circle(c)[3]
+        pts = list(iter_maximal_points(c, seed))
+        assert len(set(pts)) == len(pts) == len(grow_maximal_set(c, seed))
+
+
 def test_streams_have_no_size_cap():
     # past the enumeration cap the perfect distances and the maximal set
     # still stream item by item; only the calls that build a list refuse
