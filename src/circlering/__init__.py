@@ -44,7 +44,6 @@ from .plane import (
     PlanePoint,
     circle,
     circle_cardinality,
-    distance_from_parameters,
     enumerate_circle,
     enumerate_rational_points,
     point,

@@ -160,7 +160,7 @@ def _cmd_perfect(args) -> int:
 
 
 def _cmd_verify_prime_theorem(args) -> int:
-    primes = sweeps._odd_primes(args.pmax)
+    primes = sweeps._prime_theorem_primes(args.pmax, args.graph_max)
     workers = min(args.parallel, len(primes), os.cpu_count() or 1)
     if workers > 1:
         with Pool(workers) as pool:

@@ -208,32 +208,6 @@ def point_from_parameter(c: Circle, t) -> PlanePoint:
     return _point(field, raw)
 
 
-def distance_from_parameters(c: Circle, t1, t2) -> FieldElement:
-    """Squared distance between parametrized circle points, in closed form.
-
-    Evaluates 4r^2 (t1-t2)^2 / ((t1^2+1)(t2^2+1)), with the marker point
-    handled through its limit form 4r^2/(t^2+1); characteristic 2 gives 0.
-    Kept separate from coordinate-level squared_distance so the two can
-    cross-check each other.
-    """
-    field = c.field
-    if field.characteristic == 2:
-        return field.zero
-    r2 = c.radius * c.radius
-    four = field.from_int(4)
-    inf1 = isinstance(t1, PointAtInfinityMarker)
-    inf2 = isinstance(t2, PointAtInfinityMarker)
-    if inf1 and inf2:
-        return field.zero
-    if inf1 or inf2:
-        t = field(t2 if inf1 else t1)
-        return four * r2 * (t * t + field.one).inverse()
-    t1, t2 = field(t1), field(t2)
-    d = t1 - t2
-    denom = (t1 * t1 + field.one) * (t2 * t2 + field.one)
-    return four * r2 * d * d * denom.inverse()
-
-
 # most points enumerate_circle lists, and most parameters the finite
 # perfect-distance scan of maximal walks: enumerate_circle on a circle of
 # 10^6 points peaks at about 0.3 GB of RSS (CPython 3.11, 64-bit)

@@ -24,16 +24,28 @@ from .maximal import _raw_partition, cmaximal_cardinality, grow_maximal_set
 from .plane import Circle, PlanePoint, circle, enumerate_circle
 
 
-# largest prime bound a sweep accepts, checked before the sieve: the sieve
-# needs about 4 bytes per integer below the bound, and verify mod4 takes
-# about 0.15 s at 2000, growing as the bound squared
+# largest prime bound each sweep accepts, checked before the sieve, which
+# needs about 4 bytes per integer below the bound; both sweeps grow as the
+# bound squared: verify mod4 took 11.2 s at 2 * 10^4 (about 280 s at its
+# cap), verify prime-theorem 375 s with its bound and graph_max at their caps
 _PMAX_CAP = 10**5
+_PRIME_THEOREM_PMAX_CAP = 2 * 10**4
+# largest graph_max: a graph-checked record took 1.1 s at p = 1009, growing
+# as p^2, and graph-checking every prime up to the cap took 37 s
+_GRAPH_MAX_CAP = 1000
 
 
-def _odd_primes(limit: int) -> list[int]:
-    if limit > _PMAX_CAP:
-        raise ResultTooLarge(f"a sweep to {limit} exceeds the cap {_PMAX_CAP}")
+def _odd_primes(limit: int, cap: int = _PMAX_CAP) -> list[int]:
+    if limit > cap:
+        raise ResultTooLarge(f"a sweep to {limit} exceeds the cap {cap}")
     return [p for p in primes_up_to(limit) if p != 2]
+
+
+def _prime_theorem_primes(p_max: int, graph_max: int) -> list[int]:
+    """The primes of a two-class sweep, once its bound and graph_max pass their caps."""
+    if graph_max > _GRAPH_MAX_CAP:
+        raise ResultTooLarge(f"graph checks up to {graph_max} exceed the cap {_GRAPH_MAX_CAP}")
+    return _odd_primes(p_max, _PRIME_THEOREM_PMAX_CAP)
 
 
 def _is_two_clique_graph(p, squares, class_a, class_b):
@@ -65,28 +77,32 @@ def _is_two_clique_graph(p, squares, class_a, class_b):
 def prime_theorem_record(p: int, graph_max: int = 97) -> dict:
     """Check the two-class theorem for every radius of one prime field.
 
-    The unit circle is partitioned once; scaling by r carries its two
-    classes (and its marker (0, 1)) to those of radius r, because
-    squared distances scale by the square r^2.  `class_size` is the
-    measured size of the first class, `expected` the theorem's.  A
-    mismatch names its failed check (`class_sizes` or `two_cliques`) in
-    `failed`, and the first radius where it failed in `counterexample`.
+    The library partitions C((0,0), r) for r in 1, 2, p - 1 and the least
+    non-square; each partition must give two classes of the theorem's
+    size and, for p <= graph_max, a rationality graph of exactly those
+    two cliques.  These radii decide all p - 1: scaling by r carries the
+    unit circle onto radius r and multiplies squared distances by the
+    nonzero square r^2, keeping sizes and rationality.  `class_size` is
+    the measured size of the unit circle's first class, `expected` the
+    theorem's.  A mismatch names its failed check (`class_sizes` or
+    `two_cliques`) in `failed`, and the first radius where it failed in
+    `counterexample`.
     """
     field = PrimeField(p)
-    first, second = _raw_partition(circle(field, (0, 0), 1))
     squares = prime_square_values(p)
     expected = cmaximal_cardinality(field, 1).n
     checks = {"class_sizes": True, "two_cliques": True}
     failure = None
     graph_checked = p <= graph_max
-    for r in range(1, p):
-        class_a = {(r * x % p, r * y % p) for x, y in first}
-        class_b = {(r * x % p, r * y % p) for x, y in second}
-        if len(class_a) != expected or len(class_b) != expected:
+    for r in sorted({1, 2, p - 1, field._non_square}):
+        first, second = _raw_partition(circle(field, (0, 0), r))
+        if r == 1:
+            class_size = len(first)
+        if len(first) != expected or len(second) != expected:
             checks["class_sizes"] = False
-            failure = {"r": r, "sizes": [len(class_a), len(class_b)]}
+            failure = {"r": r, "sizes": [len(first), len(second)]}
             break
-        if graph_checked and not _is_two_clique_graph(p, squares, class_a, class_b):
+        if graph_checked and not _is_two_clique_graph(p, squares, set(first), set(second)):
             checks["two_cliques"] = False
             failure = {"r": r, "reason": "rationality graph is not two disjoint cliques"}
             break
@@ -94,7 +110,7 @@ def prime_theorem_record(p: int, graph_max: int = 97) -> dict:
         "p": p,
         "radii": p - 1,
         "class_count": 2,
-        "class_size": len(first),
+        "class_size": class_size,
         "expected": expected,
         "graph_checked": graph_checked,
     }, checks)
@@ -105,7 +121,7 @@ def prime_theorem_record(p: int, graph_max: int = 97) -> dict:
 
 def verify_prime_field_theorem(p_max: int, graph_max: int = 97) -> list[dict]:
     """Two-class theorem sweep over every odd prime up to p_max."""
-    return [prime_theorem_record(p, graph_max) for p in _odd_primes(p_max)]
+    return [prime_theorem_record(p, graph_max) for p in _prime_theorem_primes(p_max, graph_max)]
 
 
 def default_table_cells():

@@ -14,7 +14,8 @@ Two kinds live here:
   and the Gaussian-integer branch of `identity_power_sweep` over Q.
 * Exhaustive scans that drive the library's own field elements, points
   and products, checking a global property the library decides by a
-  theorem or a closed form: `brute_circle_field`, `iterated_rot_pow`,
+  theorem or a closed form: `brute_circle_field`,
+  `distance_from_parameters`, `iterated_rot_pow`,
   `has_vanishing_distance_pair`, `all_distances_vanish`,
   `distance_profile`, `points_have_uniformity`, `check_uniformity`, and
   the finite-field branch of `identity_power_sweep`.
@@ -78,6 +79,33 @@ def brute_circle_field(field, center, radius) -> set:
             if dx * dx + dy * dy == rr:
                 pts.add((x, y))
     return pts
+
+
+def distance_from_parameters(c, t1, t2):
+    """Squared distance between parametrized circle points, in closed form.
+
+    Evaluates 4r^2 (t1-t2)^2 / ((t1^2+1)(t2^2+1)), with the marker point
+    handled through its limit form 4r^2/(t^2+1); characteristic 2 gives 0.
+    Kept apart from the library's coordinate-level squared_distance so
+    the two can cross-check each other.
+    """
+    from circlering.plane import AT_INFINITY
+
+    field = c.field
+    if field.characteristic == 2:
+        return field.zero
+    r2 = c.radius * c.radius
+    four = field.from_int(4)
+    inf1, inf2 = t1 is AT_INFINITY, t2 is AT_INFINITY
+    if inf1 and inf2:
+        return field.zero
+    if inf1 or inf2:
+        t = field(t2 if inf1 else t1)
+        return four * r2 * (t * t + field.one).inverse()
+    t1, t2 = field(t1), field(t2)
+    d = t1 - t2
+    denom = (t1 * t1 + field.one) * (t2 * t2 + field.one)
+    return four * r2 * d * d * denom.inverse()
 
 
 def rationality_graph_prime(p: int, points: list) -> list:

@@ -169,6 +169,18 @@ def test_prime_theorem_record_names_failed_check(monkeypatch):
     assert rec["counterexample"]["r"] == 1
     # past graph_max the graph is not built, so nothing fails
     assert sweeps.prime_theorem_record(13, graph_max=11)["match"]
+    monkeypatch.undo()
+    # a partition that misplaces one point on one partitioned circle fails at that radius
+    partition = sweeps._raw_partition
+    for r in (1, 2, 12):  # 2 is also F_13's least non-square
+        def uneven(c, r=r):
+            first, second = partition(c)
+            return (first + second[:1], second[1:]) if c.radius.value == r else (first, second)
+
+        monkeypatch.setattr(sweeps, "_raw_partition", uneven)
+        rec = sweeps.prime_theorem_record(13)
+        assert not rec["match"] and rec["failed"] == ["class_sizes"], rec
+        assert rec["counterexample"]["r"] == r, rec
 
 
 def test_verify_table(capsys):
@@ -267,7 +279,8 @@ def test_enumeration_cap():
 
 
 def test_size_caps_refuse_at_once():
-    # a Q power of about 3 * 10^9 bits and sweeps to 10^9 exit 2 before any work
+    # a Q power of about 3 * 10^9 bits, sweeps to 10^9 and prime-theorem
+    # arguments just over its caps exit 2 before any work
     script = "import sys; from circlering.cli import main; sys.exit(main(sys.argv[1:]))"
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(circlering.__file__)))
     for cmd, error in (
@@ -275,6 +288,8 @@ def test_size_caps_refuse_at_once():
          "ResultTooLarge"),
         (["verify", "mod4", "--pmax", "1000000000"], "ResultTooLarge"),
         (["verify", "prime-theorem", "--pmax", "1000000000"], "ResultTooLarge"),
+        (["verify", "prime-theorem", "--pmax", "20001"], "ResultTooLarge"),
+        (["verify", "prime-theorem", "--graph-max", "1001"], "ResultTooLarge"),
     ):
         done = subprocess.run([sys.executable, "-c", script, *cmd], env=env, capture_output=True,
                               text=True, timeout=5)

@@ -16,7 +16,6 @@ from circlering.plane import (
     PlanePoint,
     circle,
     circle_cardinality,
-    distance_from_parameters,
     enumerate_circle,
     enumerate_rational_points,
     point,
@@ -29,6 +28,7 @@ from oracles import (
     all_distances_vanish,
     brute_circle_field,
     brute_circle_prime,
+    distance_from_parameters,
     has_vanishing_distance_pair,
 )
 
