@@ -13,11 +13,11 @@ are immutable value objects and safe to share between threads.
 Besides the four operations the module provides powers (one
 square-and-multiply, or the builtin where the field has one), square
 testing (Euler criterion over finite fields, perfect-square test over
-Q), canonical square roots (one Tonelli-Shanks for both kinds of finite
-field), prime-subfield membership tests, the squarefree-part map that
-names the coset of a nonzero rational in Q*/squares, and the primality
-test behind every prime modulus (exact below psi_13 =
-3317044064679887385961981, Baillie-PSW above).
+Q), canonical square roots (Tonelli-Shanks over F_p; over F_{p^2} built
+from F_p roots by norm and trace), prime-subfield membership tests, the
+squarefree-part map that names the coset of a nonzero rational in
+Q*/squares, and the primality test behind every prime modulus (exact
+below psi_13 = 3317044064679887385961981, Baillie-PSW above).
 """
 
 import functools
@@ -296,7 +296,7 @@ class FieldElement:
         """Canonical square root taken inside the prime subfield."""
         if not self.is_prime_subfield_square():
             raise NotASquare(f"{self} is not a prime-subfield square in {self.field}")
-        return FieldElement(self.field, self.field._prime_sqrt(self.value))
+        return FieldElement(self.field, self.field._sqrt(self.value))
 
     def sort_key(self):
         """Total order on canonical representations, used for enumeration."""
@@ -356,9 +356,6 @@ class FieldDescriptor:
 
     def _is_prime_subfield_square(self, a):
         return self._is_square(a)
-
-    def _prime_sqrt(self, a):
-        return self._sqrt(a)
 
     def _format(self, a):
         return str(a)
@@ -435,10 +432,11 @@ class PrimeField(FieldDescriptor):
 
     def _sqrt(self, a):
         # canonical choice: the root in [0, (p-1)/2]
-        if a == 0 or self.p == 2:
+        p = self.p
+        if a == 0 or p == 2:
             return a
-        r = _tonelli_shanks(self, a)
-        return min(r, self.p - r)
+        r = pow(a, (p + 1) // 4, p) if p % 4 == 3 else _tonelli_shanks(p, a, self._non_square)
+        return min(r, p - r)
 
     def _parse(self, text):
         return int(text.strip()) % self.p
@@ -462,29 +460,22 @@ def _power(mul, one, a, n: int):
     return result
 
 
-def _tonelli_shanks(field, a):
-    """One square root of the nonzero square `a` (a raw value) in a field of odd order."""
-    order, mul, power = field.order, field._mul, field._pow
-    if order % 4 == 3:
-        return power(a, (order + 1) // 4)
-    one = field._canon(1)
-    q, s = order - 1, 0
+def _tonelli_shanks(p: int, a: int, z: int) -> int:
+    """One square root of the nonzero square a mod p, for p = 1 (mod 4) and z a non-square."""
+    q, m = p - 1, 0
     while q % 2 == 0:
         q //= 2
-        s += 1
-    c = power(field._non_square, q)
-    x = power(a, (q + 1) // 2)
-    t = power(a, q)
-    m = s
-    while t != one:
+        m += 1
+    c, x, t = pow(z, q, p), pow(a, (q + 1) // 2, p), pow(a, q, p)
+    while t != 1:
         i, e = 0, t
-        while e != one:
-            e = mul(e, e)
+        while e != 1:
+            e = e * e % p
             i += 1
-        b = power(c, 1 << (m - i - 1))
-        x = mul(x, b)
-        c = mul(b, b)
-        t = mul(t, c)
+        b = pow(c, 1 << (m - i - 1), p)
+        x = x * b % p
+        c = b * b % p
+        t = t * c % p
         m = i
     return x
 
@@ -578,21 +569,26 @@ class QuadraticExtension(FieldDescriptor):
         # a is a square exactly when its norm a^(p+1) is a square of F_p
         return a == (0, 0) or self._prime._is_square(self._norm(a))
 
-    @functools.cached_property
-    def _non_square(self):
-        """The first non-square c0 + a, found on first use and kept by the field."""
-        return next((c0, 1) for c0 in range(self.p) if not self._is_square((c0, 1)))
-
     def _sqrt(self, a):
-        if a == (0, 0):
-            return (0, 0)
-        if self.p == 2:
+        p, prime, (a0, a1) = self.p, self._prime, a
+        if p == 2:
             # Frobenius is bijective: root = a^(|F|/2)
             return self._pow(a, self.order // 2)
-        if self._is_prime_subfield_square(a):
-            # the roots are (+-s, 0); the prime field's canonical s is the lesser
-            return self._prime_sqrt(a)
-        r = _tonelli_shanks(self, a)
+        if a1 == 0 and prime._is_square(a0):
+            # the roots are (+-s, 0), 0 included; the prime field's canonical s is the lesser
+            return (prime._sqrt(a0), 0)
+        if a1 == 0:
+            # (2a + f1)^2 = D = f1^2 - 4 f0, a non-square: the roots are +-s (f1, 2), s^2 = a0/D
+            s = prime._sqrt(a0 * pow(self.f1 * self.f1 - 4 * self.f0, -1, p) % p)
+            r = (s * self.f1 % p, 2 * s % p)
+        else:
+            # a root x has norm delta = +-sqrt(N(a)) and trace t with t^2 = Tr(a) + 2 delta,
+            # so x = (a + delta)/t; the other sign gives (x - conj x)^2, a non-square of F_p
+            n = prime._sqrt(self._norm(a))
+            trace = (2 * a0 - self.f1 * a1) % p
+            delta = n if prime._is_square((trace + 2 * n) % p) else p - n
+            t_inv = pow(prime._sqrt((trace + 2 * delta) % p), -1, p)
+            r = ((a0 + delta) * t_inv % p, a1 * t_inv % p)
         # canonical choice: lexicographically smaller of the two roots
         return min(r, self._neg(r))
 
@@ -601,9 +597,6 @@ class QuadraticExtension(FieldDescriptor):
 
     def _is_prime_subfield_square(self, a):
         return a[1] == 0 and self._prime._is_square(a[0])
-
-    def _prime_sqrt(self, a):
-        return (self._prime._sqrt(a[0]), 0)
 
     def _format(self, a):
         c0, c1 = a

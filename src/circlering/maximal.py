@@ -260,15 +260,17 @@ def _distance_rotation(c: Circle, q):
     g_q lies on C((0,0), r) at squared distance (q/(2r))^2 + y^2 = q from
     the identity (r, 0), so rotating a point of any circle of radius r
     about its center by g_q or by g_q^-1 = (x, -y) reaches the points at
-    squared distance q from it, and there are none when q(1 - q/(4r^2))
-    is not a square of F.  When q satisfies the a.c.p. it is a
-    prime-subfield square, and y its prime-subfield root.
+    squared distance q from it.  There are none when q(1 - q/(4r^2)) is
+    not a square of F, and then the result is None.  When q satisfies
+    the a.c.p. it is a prime-subfield square, and y its prime-subfield root.
     """
     field = c.field
-    mul = field._mul
-    r = c.radius.value
-    x = field._sub(r, mul(q, field._inv(mul(field._canon(2), r))))
-    return x, field._sqrt(mul(q, _rest(c, q)))
+    mul, r = field._mul, c.radius.value
+    h = mul(q, field._inv(mul(field._canon(2), r)))
+    y2 = field._sub(q, mul(h, h))  # q(1 - q/(4r^2))
+    if not field._is_square(y2):
+        return None
+    return field._sub(r, h), field._sqrt(y2)
 
 
 def _witness(c: Circle, q):
@@ -456,6 +458,20 @@ def points_at_distance(c: Circle, base: PlanePoint, q) -> list[PlanePoint]:
     return _points_at_distance(c, _raw(base), q.value)
 
 
+def _rotated(c: Circle, base: tuple, x, y) -> list[tuple]:
+    """center + (base - center) g^(+-1) / r for a raw base and g = (x, y), sorted; unchecked."""
+    field = c.field
+    add, sub, mul = field._add, field._sub, field._mul
+    (m1, m2), inv_r = _raw(c.center), field._inv(c.radius.value)
+    u1, u2 = mul(sub(base[0], m1), inv_r), mul(sub(base[1], m2), inv_r)
+    x1, x2, y1, y2 = mul(u1, x), mul(u2, x), mul(u1, y), mul(u2, y)
+    # (u1 + i u2)(x +- i y), shifted back by the center
+    return sorted({
+        (add(m1, sub(x1, y2)), add(m2, add(x2, y1))),
+        (add(m1, add(x1, y2)), add(m2, sub(x2, y1))),
+    })
+
+
 def _points_at_distance(c: Circle, base: tuple, q) -> list[PlanePoint]:
     """The circle points at squared distance q from a raw base on `c`, for a raw q.
 
@@ -464,16 +480,7 @@ def _points_at_distance(c: Circle, base: tuple, q) -> list[PlanePoint]:
     circle at squared distance q from the base.
     """
     field = c.field
-    add, sub, mul = field._add, field._sub, field._mul
-    x, y = _distance_rotation(c, q)
-    (m1, m2), inv_r = _raw(c.center), field._inv(c.radius.value)
-    u1, u2 = mul(sub(base[0], m1), inv_r), mul(sub(base[1], m2), inv_r)
-    x1, x2, y1, y2 = mul(u1, x), mul(u2, x), mul(u1, y), mul(u2, y)
-    # (u1 + i u2)(x +- i y), shifted back by the center
-    raw = sorted({
-        (add(m1, sub(x1, y2)), add(m2, add(x2, y1))),
-        (add(m1, add(x1, y2)), add(m2, sub(x2, y1))),
-    })
+    raw = _rotated(c, base, *_distance_rotation(c, q))
     out = [_point(field, xy) for xy in raw]
     for p, xy in zip(out, raw):
         c.require(p)
@@ -517,10 +524,11 @@ def grow_maximal_set(c: Circle, seed: PlanePoint, prefix: int = 64) -> CircularP
     points: the seed and its least rational partner in raw order, if
     any.  The partners are the seed rotated about the center by
     g_q^(+-1) (see _distance_rotation) for each nonzero prime-subfield
-    square q with q(1 - q/(4r^2)) a square of F; no partner sits at
-    squared distance 0, which d(s g, s) = 2r(r - g1) takes only at the
-    identity g = (r, 0).  A characteristic past the enumeration cap
-    (10^6) raises CircleTooLarge before any work.
+    square q with q(1 - q/(4r^2)) a square of F, compared as raw pairs;
+    only the least is built as a point and checked at its distance.  No
+    partner sits at squared distance 0, which d(s g, s) = 2r(r - g1)
+    takes only at the identity g = (r, 0).  A characteristic past the
+    enumeration cap (10^6) raises CircleTooLarge before any work.
     """
     field = c.field
     c.require(seed)
@@ -539,14 +547,10 @@ def grow_maximal_set(c: Circle, seed: PlanePoint, prefix: int = 64) -> CircularP
             pts.extend(_points_at_distance(c, base, q))
     if len(pts) == 1:  # no perfect distance: the least rational partner, if any
         squares = (field._canon(k * k) for k in range(1, (p + 1) // 2))
-        partners = [
-            pt
-            for q in squares
-            if field._is_square(field._mul(q, _rest(c, q)))
-            for pt in _points_at_distance(c, base, q)
-        ]
-        if partners:
-            pts.append(min(partners, key=PlanePoint.sort_key))
+        rotations = ((q, _distance_rotation(c, q)) for q in squares)
+        partners = [(xy, q) for q, g in rotations if g for xy in _rotated(c, base, *g)]
+        if partners:  # the least partner is the lesser point at its q, checked there
+            pts.append(_points_at_distance(c, base, min(partners)[1])[0])
     return CircularPointSet(c, pts, SetStatus.C_MAXIMAL)
 
 

@@ -26,7 +26,7 @@ from circlering.fields import (
     squarefree_part,
 )
 
-from oracles import squares_of
+from oracles import quadratic_mul, squares_of
 
 F7 = PrimeField(7)
 F13 = PrimeField(13)
@@ -253,22 +253,54 @@ def test_sqrt_golden_and_roundtrip(rng):
 
 
 def test_extension_sqrt_roundtrip():
-    # x^2 + 1 over F_7 and F_3 has a square f0, x^2 + 11 over F_13 does not
-    for field in (QuadraticExtension(13, (11, 0)), F49, QuadraticExtension(3, (1, 0))):
+    # x^2 + 1 over F_7 and F_3 has a square f0, x^2 + 11 over F_13 does
+    # not; the x^2 + x + c moduli put f1 into the trace 2 a0 - f1 a1.
+    # Every root is the lesser of those a scan in oracle arithmetic finds.
+    fields = [QuadraticExtension(13, (11, 0)), F49, QuadraticExtension(3, (1, 0))]
+    fields += [QuadraticExtension(p, (c, 1)) for p, c in ((3, 2), (5, 1), (7, 3), (13, 2))]
+    for field in fields:
+        p, f = field.p, (field.f0, field.f1)
+        roots = {}
+        for x in product(range(p), repeat=2):
+            roots.setdefault(quadratic_mul(p, f, x, x), []).append(x)
         for e in field.elements():
+            assert e.is_square() == (e.value in roots)
             if e.is_square():
                 root = e.sqrt()
                 assert root * root == e
-                assert root.sort_key() <= (-root).sort_key()
+                assert root.value == min(roots[e.value])
+    # over F_104729[a]/(a^2 + a + 1); 3 is a non-square of F_104729
+    big = parse_descriptor("Fp2:104729,x^2+x+1")
+    for square, root in (((104724, 3), (2, 3)), ((89520, 87645), (12345, 67890)), (3, (36639, 73278))):
+        assert big(square).sqrt() == big(root)
+
+
+def test_extension_roots_come_from_prime_roots(monkeypatch):
+    # Tonelli-Shanks runs over the prime field only: a root in F_{p^2}
+    # calls it with the characteristic, never with the extension
+    from circlering import fields
+
+    calls = []
+    tonelli_shanks = fields._tonelli_shanks
+
+    def record(*args):
+        calls.append(args[0])
+        return tonelli_shanks(*args)
+
+    monkeypatch.setattr(fields, "_tonelli_shanks", record)
+    for field in (QuadraticExtension(13, (11, 0)), parse_descriptor("Fp2:104729,x^2+x+1")):
+        calls.clear()
+        for v in ((1, 1), (2, 3), (0, 1), (5, 0)):
+            root = (field(v) * field(v)).sqrt()
+            assert root in (field(v), -field(v))
+        assert calls and all(type(p) is int and p == field.characteristic for p in calls)
 
 
 def test_non_square_found_once_per_field():
     # Tonelli-Shanks needs a non-square; two roots in one field search
-    # for it once.  The least non-square of F_73 is 5, and a = (0, 1)
-    # is one of F_{13^2} with a^2 = -11.
+    # for it once.  The least non-square of F_73 is 5.
     cases = (
         (PrimeField(73), (6, 7), [36, 2, 3, 4, 5, 49]),
-        (QuadraticExtension(13, (11, 0)), ((1, 1), (2, 3)), [(3, 2), (0, 1), (9, 12)]),
     )
     for field, roots, expected in cases:
         tested = []

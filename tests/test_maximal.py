@@ -387,7 +387,8 @@ def test_grow_partner_matches_scan():
 
 def test_single_answers_never_scan_the_circle(monkeypatch):
     # a root, a grown pair and a cardinality witness come by formula:
-    # none of them lists the circle, here of 516,960 and 994,008 points
+    # none of them lists the circle, here of 516,960, 994,008 and
+    # 62,710,560 points
     def no_scan(c):
         raise AssertionError(f"{c} was scanned")
 
@@ -402,6 +403,12 @@ def test_single_answers_never_scan_the_circle(monkeypatch):
     marker, partner = point(f, 0, (0, 1)), point(f, (0, 331), (331, 332))
     assert grow_maximal_set(c, marker).points == (marker, partner)
     assert cmaximal_cardinality(f, c.radius).witness == (marker, partner)
+    # the same over F_7919[a]/(a^2 + a + 1), where f1 != 0
+    f = QuadraticExtension(7919, (1, 1))
+    c = circle(f, (0, 0), (0, 1))
+    marker = point(f, 0, (0, 1))
+    partner = point(f, (4, 2603), (5495, 5496))
+    assert grow_maximal_set(c, marker).points == (marker, partner)
 
 
 def test_maximal_stream_repeats_no_point():
