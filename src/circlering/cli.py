@@ -314,7 +314,7 @@ def _build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--seed-a", type=int, default=0)
     demo.add_argument("--seed-b", type=int, default=1)
     demo.add_argument("--exp-cap", type=int, default=None)
-    demo.add_argument("--dlog-cap", type=int, default=10_000)
+    demo.add_argument("--dlog-cap", type=_nonnegative_int, default=10_000)
     demo.set_defaults(run=_cmd_keyex_demo)
 
     return top

@@ -47,7 +47,7 @@ class ProtocolParams:
     Q the base must be acyclic (both coordinates nonzero), which rules
     out the four cyclic axis points.  `exponent_cap` bounds the private
     exponents drawn over Q, where coordinate digit counts grow linearly
-    with the exponent.
+    with the exponent; there it must exceed 2, the least exponent drawn.
     """
 
     def __init__(self, base: RotationElement, exponent_cap: int = 2**64):
@@ -60,6 +60,8 @@ class ProtocolParams:
                 raise DegenerateBasePoint(f"base point order {order} <= 4")
             self.order = order
         else:
+            if exponent_cap <= 2:
+                raise ValueError(f"exponent_cap must exceed 2 over Q, got {exponent_cap}")
             report = classify_cyclicity(base)
             if report.verdict != "acyclic":
                 raise DegenerateBasePoint(
@@ -209,6 +211,11 @@ def _pack_descriptor(field) -> bytes:
     return bytes([_KIND_RATIONALS])
 
 
+def _pack_header(circle: Circle) -> bytes:
+    """The header of rotation and transcript messages: descriptor and radius."""
+    return _pack_descriptor(circle.field) + _pack_value(circle.field, circle.radius.value)
+
+
 def encode(obj) -> bytes:
     """Serialize a FieldElement, RotationElement, or Transcript."""
     out = bytearray(MAGIC)
@@ -220,15 +227,13 @@ def encode(obj) -> bytes:
     elif isinstance(obj, RotationElement):
         out.append(_TAG_ROTATION)
         field = obj.field
-        out += _pack_descriptor(field)
-        out += _pack_value(field, obj.circle.radius.value)
+        out += _pack_header(obj.circle)
         out += _pack_value(field, obj.point.x.value)
         out += _pack_value(field, obj.point.y.value)
     elif isinstance(obj, Transcript):
         out.append(_TAG_TRANSCRIPT)
         field = obj.base.field
-        out += _pack_descriptor(field)
-        out += _pack_value(field, obj.base.circle.radius.value)
+        out += _pack_header(obj.base.circle)
         for e in (obj.base, obj.sent_a, obj.sent_b, obj.shared_a, obj.shared_b):
             out += _pack_value(field, e.point.x.value)
             out += _pack_value(field, e.point.y.value)
@@ -297,6 +302,12 @@ def _read_value(r: _Reader, field):
     return field(Fraction(-num if sign else num, den))
 
 
+def _read_header(r: _Reader):
+    """The field and radius that _pack_header wrote; the caller builds the circle."""
+    field = _read_descriptor(r)
+    return field, _read_value(r, field)
+
+
 def decode(buf: bytes):
     """Inverse of encode; raises MalformedMessage / VersionMismatch.
 
@@ -319,23 +330,20 @@ def _parse(buf: bytes):
     if version != WIRE_VERSION:
         raise VersionMismatch(f"wire version {version}, expected {WIRE_VERSION}")
     tag = r.byte()
-    field = None
     if tag == _TAG_ELEMENT:
         field = _read_descriptor(r)
         value = _read_value(r, field)
         r.done()
         return value
     if tag == _TAG_ROTATION:
-        field = _read_descriptor(r)
-        radius = _read_value(r, field)
+        field, radius = _read_header(r)
         x = _read_value(r, field)
         y = _read_value(r, field)
         r.done()
         circle = Circle(PlanePoint(field.zero, field.zero), radius)
         return RotationElement(circle, PlanePoint(x, y))
     if tag == _TAG_TRANSCRIPT:
-        field = _read_descriptor(r)
-        radius = _read_value(r, field)
+        field, radius = _read_header(r)
         circle = Circle(PlanePoint(field.zero, field.zero), radius)
         pts = []
         for _ in range(5):

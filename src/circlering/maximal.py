@@ -18,7 +18,6 @@ from fractions import Fraction
 
 from .errors import (
     CircleTooLarge,
-    DivisionByZero,
     InfiniteField,
     NotPerfect,
     RadiusSquaredNotInPrimeField,
@@ -220,19 +219,19 @@ def partition_rational_circle_points(c: Circle, sample):
 
 
 def _four_r2(c: Circle):
-    """The raw value 4r^2 of the circle."""
+    """The raw value 4r^2 of the circle; WrongFieldKind in characteristic 2, where it is 0."""
     field = c.field
     r = c.radius.value
-    return field._mul(field._canon(4), field._mul(r, r))
+    four_r2 = field._mul(field._canon(4), field._mul(r, r))
+    if four_r2 == field._zero:
+        raise WrongFieldKind("perfect distances are defined for characteristic != 2")
+    return four_r2
 
 
 def _rest(c: Circle, q):
     """The raw value 1 - q/(4r^2) for a raw q."""
     field = c.field
-    four_r2 = _four_r2(c)
-    if four_r2 == field._zero:  # characteristic 2
-        raise DivisionByZero(f"inverse of zero in {field}")
-    return field._sub(field._canon(1), field._mul(q, field._inv(four_r2)))
+    return field._sub(field._canon(1), field._mul(q, field._inv(_four_r2(c))))
 
 
 def _acp(c: Circle, q) -> bool:
@@ -254,42 +253,54 @@ def _antipodes(c: Circle) -> tuple:
     return (field._add(m1, r), m2), (field._sub(m1, r), m2)
 
 
-def _distance_rotation(c: Circle, q):
-    """g_q = (r - q/(2r), y) as a raw pair, y the canonical root of q(1 - q/(4r^2)) in F.
+def _rotations(c: Circle, base: tuple):
+    """q -> [base g_q, base g_q^-1], raw pairs, for a raw base on `c`; unchecked.
 
-    g_q lies on C((0,0), r) at squared distance (q/(2r))^2 + y^2 = q from
-    the identity (r, 0), so rotating a point of any circle of radius r
-    about its center by g_q or by g_q^-1 = (x, -y) reaches the points at
-    squared distance q from it.  There are none when q(1 - q/(4r^2)) is
-    not a square of F, and then the result is None.  When q satisfies
-    the a.c.p. it is a prime-subfield square, and y its prime-subfield root.
+    g_q = (r - h, y), with h = q/(2r) and y the canonical root of
+    q(1 - q/(4r^2)) = q - h^2 in F, is the point of C((0,0), r) at
+    squared distance q from the identity (r, 0); the base rotated about
+    the center by g_q^(+-1) is base - u h +- i u y, u = (base - center)/r.
+    The closure returns None when q - h^2 is not a square of F; for q
+    with the a.c.p. y is a prime-subfield root.  The one inversion is
+    1/(2r) = 2r/(4r^2).
     """
     field = c.field
-    mul, r = field._mul, c.radius.value
-    h = mul(q, field._inv(mul(field._canon(2), r)))
-    y2 = field._sub(q, mul(h, h))  # q(1 - q/(4r^2))
-    if not field._is_square(y2):
-        return None
-    return field._sub(r, h), field._sqrt(y2)
+    add, sub, mul = field._add, field._sub, field._mul
+    r = c.radius.value
+    inv_2r = mul(add(r, r), field._inv(_four_r2(c)))
+    inv_r = add(inv_2r, inv_2r)
+    (b1, b2), (m1, m2) = base, _raw(c.center)
+    u1, u2 = mul(sub(b1, m1), inv_r), mul(sub(b2, m2), inv_r)
+
+    def at(q):
+        h = mul(q, inv_2r)
+        y_sq = sub(q, mul(h, h))  # q(1 - q/(4r^2))
+        if not field._is_square(y_sq):
+            return None
+        y = field._sqrt(y_sq)
+        x1, x2 = sub(b1, mul(u1, h)), sub(b2, mul(u2, h))
+        uy1, uy2 = mul(u1, y), mul(u2, y)
+        # base - u h +- i u y, with i u y = (-u2 y, u1 y)
+        return [(sub(x1, uy2), add(x2, uy1)), (add(x1, uy2), sub(x2, uy1))]
+
+    return at
 
 
-def _witness(c: Circle, q):
+def _witness(c: Circle, q, at_a):
     """The witness triangle of a perfect raw value q: three circle points, pairwise rational.
 
-    With A, B the antipodes (m1 + r, m2), (m1 - r, m2) and M the center it
-    is (A, M + g_q, M + g_q^-1) for q != 4r^2, both at squared distance q
-    from A; for q = 4r^2 = d(A, B) it is (A, B, the first point at
-    _first_other_perfect(c) from A).
+    With A, B the antipodes (m1 + r, m2), (m1 - r, m2), M the center and
+    `at_a` = _rotations(c, A) it is (A, M + g_q, M + g_q^-1) for q != 4r^2,
+    both at squared distance q from A; for q = 4r^2 = d(A, B) it is
+    (A, B, the first point at _first_other_perfect(c) from A).
     """
     field = c.field
     a, b = _antipodes(c)
     diameter = q == _four_r2(c)
     if diameter:
-        raw = (a, b, _raw(_points_at_distance(c, a, _first_other_perfect(c))[0]))
+        raw = (a, b, _raw(_points_at_distance(c, at_a, a, _first_other_perfect(c))[0]))
     else:
-        (m1, m2), (x, y) = _raw(c.center), _distance_rotation(c, q)
-        mx = field._add(m1, x)
-        raw = (a, (mx, field._add(m2, y)), (mx, field._sub(m2, y)))
+        raw = (a, *at_a(q))
     triangle = tuple(_point(field, xy) for xy in raw)
     for p in triangle:
         c.require(p)
@@ -347,14 +358,12 @@ def _perfect_values(c: Circle):
     cap; the callers that build the whole list check one.
     """
     field = c.field
-    if field.characteristic == 2:
-        raise WrongFieldKind("perfect distances are defined for characteristic != 2")
+    four_r2 = _four_r2(c)
     r = c.radius.value
     if not field._in_prime_subfield(field._mul(r, r)):
         raise RadiusSquaredNotInPrimeField(
             "no circular point set of size >= 3 exists when r^2 is outside P(F)"
         )
-    four_r2 = _four_r2(c)
     if field.is_finite():
         yield from _parametrized_perfect(c)
         if field._is_prime_subfield_square(four_r2) and _first_other_perfect(c) is not None:
@@ -374,8 +383,9 @@ def iter_perfect_distances(c: Circle):
     stream is infinite and starts with 4r^2.
     """
     field = c.field
+    at_a = _rotations(c, _antipodes(c)[0])
     for q in _perfect_values(c):
-        yield FieldElement(field, q), _witness(c, q)
+        yield FieldElement(field, q), _witness(c, q, at_a)
 
 
 def perfect_distances(c: Circle) -> dict:
@@ -414,10 +424,7 @@ def is_perfect_distance(c: Circle, q) -> bool:
     needs some rational triangle to realize it, which exists exactly
     when some other perfect distance does.
     """
-    field = c.field
-    if field.characteristic == 2:
-        raise WrongFieldKind("perfect distances are defined for characteristic != 2")
-    q = field(q)
+    q = c.field(q)
     return _is_perfect(c, q, check_acp(c, q))
 
 
@@ -431,14 +438,11 @@ def _is_perfect(c: Circle, q: FieldElement, acp: bool) -> bool:
 
 def perfect_distance_report(c: Circle, q) -> PerfectDistanceReport:
     """Classify one squared distance: rationality, a.c.p., perfectness."""
-    field = c.field
-    if field.characteristic == 2:
-        raise WrongFieldKind("perfect distances are defined for characteristic != 2")
-    q = field(q)
+    q = c.field(q)
     rational = q.is_prime_subfield_square()
     acp = check_acp(c, q)
     perfect = _is_perfect(c, q, acp)
-    witness = _witness(c, q.value) if perfect else None
+    witness = _witness(c, q.value, _rotations(c, _antipodes(c)[0])) if perfect else None
     return PerfectDistanceReport(c, q, rational, acp, perfect, witness)
 
 
@@ -446,41 +450,28 @@ def points_at_distance(c: Circle, base: PlanePoint, q) -> list[PlanePoint]:
     """The circle points at a perfect squared distance q from `base`.
 
     Exactly two points unless q = 4r^2, which is realized only by the
-    antipode.  They are center + (base - center) g_q^(+-1) / r, the base
-    rotated about the center by g_q (see _distance_rotation) and by its
-    inverse.  Raises NotPerfect when q lacks the algebraic certificate
-    (nonzero, rational, a.c.p.) the construction needs.
+    antipode.  They are the base rotated about the center by g_q and by
+    its inverse (see _rotations).  Raises NotPerfect when q lacks the
+    algebraic certificate (nonzero, rational, a.c.p.) the construction
+    needs.
     """
     q = c.field(q)
     c.require(base)
     if q.is_zero() or not _acp(c, q.value):
         raise NotPerfect(f"{q} is not realizable as a perfect distance on {c}")
-    return _points_at_distance(c, _raw(base), q.value)
+    raw = _raw(base)
+    return _points_at_distance(c, _rotations(c, raw), raw, q.value)
 
 
-def _rotated(c: Circle, base: tuple, x, y) -> list[tuple]:
-    """center + (base - center) g^(+-1) / r for a raw base and g = (x, y), sorted; unchecked."""
-    field = c.field
-    add, sub, mul = field._add, field._sub, field._mul
-    (m1, m2), inv_r = _raw(c.center), field._inv(c.radius.value)
-    u1, u2 = mul(sub(base[0], m1), inv_r), mul(sub(base[1], m2), inv_r)
-    x1, x2, y1, y2 = mul(u1, x), mul(u2, x), mul(u1, y), mul(u2, y)
-    # (u1 + i u2)(x +- i y), shifted back by the center
-    return sorted({
-        (add(m1, sub(x1, y2)), add(m2, add(x2, y1))),
-        (add(m1, add(x1, y2)), add(m2, sub(x2, y1))),
-    })
+def _points_at_distance(c: Circle, at, base: tuple, q) -> list[PlanePoint]:
+    """The circle points at squared distance q from a raw base on `c`, sorted, for a raw q.
 
-
-def _points_at_distance(c: Circle, base: tuple, q) -> list[PlanePoint]:
-    """The circle points at squared distance q from a raw base on `c`, for a raw q.
-
-    q(1 - q/(4r^2)) must be a square of F (see _distance_rotation), as it
-    is for a perfect q.  Every returned point is checked to lie on the
-    circle at squared distance q from the base.
+    `at` is _rotations(c, base), and q(1 - q/(4r^2)) must be a square of
+    F, as it is for a perfect q.  Every returned point is checked to lie
+    on the circle at squared distance q from the base.
     """
     field = c.field
-    raw = _rotated(c, base, *_distance_rotation(c, q))
+    raw = sorted(set(at(q)))
     out = [_point(field, xy) for xy in raw]
     for p, xy in zip(out, raw):
         c.require(p)
@@ -505,8 +496,9 @@ def iter_maximal_points(c: Circle, seed: PlanePoint):
     c.require(seed)
     yield seed
     base = _raw(seed)
+    at = _rotations(c, base)
     for q in _perfect_values(c):
-        yield from _points_at_distance(c, base, q)
+        yield from _points_at_distance(c, at, base, q)
 
 
 def grow_maximal_set(c: Circle, seed: PlanePoint, prefix: int = 64) -> CircularPointSet:
@@ -523,12 +515,12 @@ def grow_maximal_set(c: Circle, seed: PlanePoint, prefix: int = 64) -> CircularP
     exists, the best rational set through the seed has at most two
     points: the seed and its least rational partner in raw order, if
     any.  The partners are the seed rotated about the center by
-    g_q^(+-1) (see _distance_rotation) for each nonzero prime-subfield
-    square q with q(1 - q/(4r^2)) a square of F, compared as raw pairs;
-    only the least is built as a point and checked at its distance.  No
-    partner sits at squared distance 0, which d(s g, s) = 2r(r - g1)
-    takes only at the identity g = (r, 0).  A characteristic past the
-    enumeration cap (10^6) raises CircleTooLarge before any work.
+    g_q^(+-1) (see _rotations) for each nonzero prime-subfield square q
+    with q(1 - q/(4r^2)) a square of F, compared as raw pairs; only the
+    least is built as a point and checked at its distance.  No partner
+    sits at squared distance 0, which d(s g, s) = 2r(r - g1) takes only
+    at the identity g = (r, 0).  A characteristic past the enumeration
+    cap (10^6) raises CircleTooLarge before any work.
     """
     field = c.field
     c.require(seed)
@@ -542,15 +534,15 @@ def grow_maximal_set(c: Circle, seed: PlanePoint, prefix: int = 64) -> CircularP
     if p > _ENUMERATION_CAP:
         raise CircleTooLarge(f"{p - 1} parameters exceed the cap {_ENUMERATION_CAP}")
     pts, base = [seed], _raw(seed)
+    at = _rotations(c, base)
     if (c.radius * c.radius).in_prime_subfield():
         for q in _perfect_values(c):
-            pts.extend(_points_at_distance(c, base, q))
+            pts.extend(_points_at_distance(c, at, base, q))
     if len(pts) == 1:  # no perfect distance: the least rational partner, if any
         squares = (field._canon(k * k) for k in range(1, (p + 1) // 2))
-        rotations = ((q, _distance_rotation(c, q)) for q in squares)
-        partners = [(xy, q) for q, g in rotations if g for xy in _rotated(c, base, *g)]
+        partners = [(xy, q) for q in squares for xy in at(q) or ()]
         if partners:  # the least partner is the lesser point at its q, checked there
-            pts.append(_points_at_distance(c, base, min(partners)[1])[0])
+            pts.append(_points_at_distance(c, at, base, min(partners)[1])[0])
     return CircularPointSet(c, pts, SetStatus.C_MAXIMAL)
 
 

@@ -260,12 +260,19 @@ def test_usage_errors(capsys):
         assert code == 2 and "error: ParseError" in err, err
     code, _, err = run_cli(capsys, "circle", "enum", "--field", "Fp:7", "--radius", "1" * 5000)
     assert code == 2 and "error: ParseError" in err and len(err) < 500, err
+    # a Q exponent cap that leaves no exponent to draw names the parameter
+    code, _, err = run_cli(capsys, "keyex", "demo", "--field", "Q", "--radius", "2",
+                           "--point", "8/5,6/5", "--exp-cap", "2")
+    assert code == 2 and "error: ValueError: exponent_cap" in err, err
     for argv in (["circle", "bogus"],
-                 ["rot", "pow", "--field", "Fp:13", "--radius", "1", "--point", "2,6", "--exp", "-1"]):
+                 ["rot", "pow", "--field", "Fp:13", "--radius", "1", "--point", "2,6", "--exp", "-1"],
+                 ["keyex", "demo", "--field", "Fp:13", "--radius", "1", "--point", "2,6",
+                  "--dlog-cap", "-3"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-    assert "expected a nonnegative integer" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert argv[1] == "bogus" or "expected a nonnegative integer" in err, err
 
 
 def test_enumeration_cap():

@@ -45,6 +45,14 @@ def test_params_validation():
     some = enumerate_circle(c49)[5]
     with pytest.raises(WrongFieldKind):
         ProtocolParams(RotationElement(c49, some))
+    # exponents over Q are drawn from [2, exponent_cap): a cap of 2 or less
+    # leaves none, and is refused here rather than in keygen
+    for cap in (2, 0, -5):
+        with pytest.raises(ValueError, match="exponent_cap"):
+            ProtocolParams(BASEQ, exponent_cap=cap)
+    assert keygen(ProtocolParams(BASEQ, exponent_cap=3), 0).exponent == 2
+    # over F_p exponents are drawn below the base's order, and the cap is unused
+    assert ProtocolParams(BASE13, exponent_cap=2).order == 12
 
 
 def test_keygen_deterministic_and_in_range():

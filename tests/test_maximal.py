@@ -220,10 +220,19 @@ def test_perfect_distances_errors():
     c = Circle(PlanePoint(F49.zero, F49.zero), r_ext)
     with pytest.raises(RadiusSquaredNotInPrimeField):
         perfect_distances(c)
-    with pytest.raises(WrongFieldKind):
-        perfect_distances(circle(PrimeField(2), (0, 0), 1))
     with pytest.raises(InfiniteField):
         perfect_distances(circle(Q, (0, 0), 1))
+    # every perfect-distance entry point refuses characteristic 2 alike,
+    # where 4r^2 = 0; over F_4 with r = a this comes before r^2 = a + 1
+    # is found outside the prime subfield
+    f4 = QuadraticExtension(2, (1, 1))
+    for c in (circle(PrimeField(2), (0, 0), 1), circle(f4, (0, 0), 1), circle(f4, (0, 0), (0, 1))):
+        seed = enumerate_circle(c)[0]
+        for call in (lambda: check_acp(c, 1), lambda: points_at_distance(c, seed, 1),
+                     lambda: is_perfect_distance(c, 1), lambda: perfect_distance_report(c, 1),
+                     lambda: perfect_distances(c), lambda: next(iter_perfect_distances(c))):
+            with pytest.raises(WrongFieldKind):
+                call()
 
 
 def test_iter_perfect_distances_over_q():
@@ -357,7 +366,8 @@ def test_grow_partner_matches_scan():
                               lambda a, b, p=p: ((a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2) % p,
                               squares_of(p)))
     for field in (QuadraticExtension(3, (1, 0)), QuadraticExtension(5, (3, 0)), F49,
-                  QuadraticExtension(11, (1, 0))):
+                  QuadraticExtension(11, (1, 0)), QuadraticExtension(5, (1, 1)),
+                  QuadraticExtension(7, (3, 1))):
         p, f = field.p, (field.f0, field.f1)
         for r in ((1, 0), (2, 0), (0, 1), (1, 1)):
             pts = brute_circle_quadratic(p, f, ((0, 0), (0, 0)), r)
@@ -382,7 +392,7 @@ def test_grow_partner_matches_scan():
             witness = cmaximal_cardinality(c.field, c.radius).witness
             got = witness and [(w.x.value, w.y.value) for w in witness]
             assert got == (partner and [marker, partner]), c
-    assert len(sizes) == 576 and set(sizes) == {1, 2}, len(sizes)
+    assert len(sizes) == 960 and set(sizes) == {1, 2}, len(sizes)
 
 
 def test_single_answers_never_scan_the_circle(monkeypatch):
@@ -409,6 +419,24 @@ def test_single_answers_never_scan_the_circle(monkeypatch):
     marker = point(f, 0, (0, 1))
     partner = point(f, (4, 2603), (5495, 5496))
     assert grow_maximal_set(c, marker).points == (marker, partner)
+
+
+def test_growth_inverts_once(monkeypatch):
+    # 1/(2r) and 1/r are fixed for the circle: the partner search over the
+    # 3,960 nonzero squares of F_7919 takes them from one inversion
+    calls = []
+    inv = QuadraticExtension._inv
+
+    def counted(self, a):
+        calls.append(a)
+        return inv(self, a)
+
+    monkeypatch.setattr(QuadraticExtension, "_inv", counted)
+    f = QuadraticExtension(7919, (1, 1))
+    c = circle(f, (0, 0), (0, 1))
+    marker = point(f, 0, (0, 1))
+    assert grow_maximal_set(c, marker).points == (marker, point(f, (4, 2603), (5495, 5496)))
+    assert len(calls) <= 2, len(calls)
 
 
 def test_maximal_stream_repeats_no_point():
