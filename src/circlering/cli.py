@@ -229,7 +229,7 @@ def _cmd_keyex_demo(args) -> int:
     transcript = keyex.simulate_exchange(params, args.seed_a, args.seed_b, dlog_cap=args.dlog_cap)
     with _long_ints_printable():
         doc = _transcript_json(transcript)
-    if args.dlog_cap:
+    if args.dlog_cap and base.field.is_finite():  # over Q the dlog never runs
         doc.setdefault("dlog_iterations", None)
         doc["dlog_cap"] = args.dlog_cap
     _emit(doc, args.pretty)

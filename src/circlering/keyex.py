@@ -311,6 +311,9 @@ def _read_header(r: _Reader):
 def decode(buf: bytes):
     """Inverse of encode; raises MalformedMessage / VersionMismatch.
 
+    A message whose radius is 0 raises ZeroRadius, and one whose point
+    is moved off its circle raises PointNotOnCircle.
+
     Only canonical encodings are accepted: anything that parses but
     encodes back to other bytes (an unreduced residue or fraction, a
     negative zero, an `equal` byte outside {0, 1}, a zero-padded length

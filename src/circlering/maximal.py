@@ -152,7 +152,7 @@ class CardinalityAnswer:
     witness: tuple | None = None
 
 
-# most circle points enumerate_emaximal_sets builds its rationality graph on
+# most circle points enumerate_emaximal_sets searches
 _CLIQUE_CAP = 4096
 
 
@@ -566,43 +566,53 @@ def _rationality_adjacency(field: FieldDescriptor, points: list[tuple]) -> list[
     return adj
 
 
-def _bron_kerbosch(adj, grown, cands, excluded, out):
-    if cands == 0 and excluded == 0:
-        out.append(grown)
-        return
-    pivot = (cands | excluded).bit_length() - 1
-    pool = cands & ~adj[pivot]
-    while pool:
-        bit = pool & -pool
-        v = bit.bit_length() - 1
-        _bron_kerbosch(adj, grown | bit, cands & adj[v], excluded & adj[v], out)
-        cands &= ~bit
-        excluded |= bit
-        pool &= ~bit
+def _maximal_cliques(adj: list[int]) -> list[int]:
+    """Every maximal clique of a bitmask graph, as masks: pivoted Bron-Kerbosch on an explicit stack.
+
+    A frame branches on its lowest pool vertex and is pushed back below
+    that branch, so cliques come in the order of the recursive form.
+    """
+    found = []
+    stack = [(0, (1 << len(adj)) - 1, 0, None)]
+    while stack:
+        grown, cands, excluded, pool = stack.pop()
+        if pool is None:
+            if not cands | excluded:
+                found.append(grown)
+                continue
+            pool = cands & ~adj[(cands | excluded).bit_length() - 1]
+        if pool:
+            bit = pool & -pool
+            v = bit.bit_length() - 1
+            stack.append((grown, cands & ~bit, excluded | bit, pool & ~bit))
+            stack.append((grown | bit, cands & adj[v], excluded & adj[v], None))
+    return found
 
 
 def enumerate_emaximal_sets(c: Circle, seed: PlanePoint):
     """All e-maximal circular point sets containing `seed`, by clique search.
 
-    Runs exact Bron-Kerbosch on the rationality graph restricted to the
-    seed's closed neighbourhood (a clique through the seed can only use
-    its neighbours, so maximality there is maximality in the full
-    graph).  Results are sorted largest-first; the largest are marked
-    c-maximal, which is also globally correct because rotations carry
-    cliques through any point to cliques through any other.  A circle of
-    more than _CLIQUE_CAP points raises CircleTooLarge before any work.
+    A maximal clique through the seed is the seed plus a maximal clique
+    of its neighbours, so the rationality graph is built on the
+    neighbours alone (n - 1 tests find them) and exact pivoted
+    Bron-Kerbosch runs there on an explicit stack, as deep as the
+    largest clique.  Results are sorted largest-first, then by raw
+    points; the largest are marked c-maximal, which is also globally
+    correct because rotations carry cliques through any point to
+    cliques through any other.  A circle of more than _CLIQUE_CAP points
+    raises CircleTooLarge before any work.
     """
     field = c.field
     n = circle_cardinality(field)
     if n > _CLIQUE_CAP:
         raise CircleTooLarge(f"{n} circle points exceed the cap {_CLIQUE_CAP}")
     c.require(seed)
-    raw = _raw_circle_points(c)
-    adj = _rationality_adjacency(field, raw)
-    s = raw.index(_raw(seed))
-    found: list[int] = []
-    _bron_kerbosch(adj, 1 << s, adj[s], 0, found)
-    cliques = [[raw[i] for i in range(n) if mask >> i & 1] for mask in found]
+    s = _raw(seed)
+    nbrs = [xy for xy in _raw_circle_points(c) if xy != s and _rational(field, s, xy)]
+    cliques = [
+        sorted([s, *(xy for i, xy in enumerate(nbrs) if mask >> i & 1)])
+        for mask in _maximal_cliques(_rationality_adjacency(field, nbrs))
+    ]
     cliques.sort(key=lambda ms: (-len(ms), ms))
     best = len(cliques[0]) if cliques else 0
     return [

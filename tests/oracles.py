@@ -6,7 +6,8 @@ Two kinds live here:
   arithmetic, so a bug in the library cannot hide inside them:
   `squares_of`, `brute_circle_prime`, `quadratic_mul`,
   `quadratic_squared_distance`, `brute_circle_quadratic`,
-  `rationality_graph_prime`, `connected_components`,
+  `rationality_graph_prime`, `rationality_graph_quadratic`,
+  `maximal_cliques_through`, `connected_components`,
   `rational_triangle_sides`, `perfect_distances_by_triangles`,
   `point_at_distance`, `least_rational_partner`, `residue_ops`,
   `rotation_roots`, `rot_mul_residues`, `rot_pow_residues`,
@@ -121,6 +122,39 @@ def rationality_graph_prime(p: int, points: list) -> list:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
     return adj
+
+
+def rationality_graph_quadratic(p: int, f: tuple, points: list) -> list:
+    """Bitmask adjacency over points of F_p[x]/(x^2 + f1 x + f0); edge = distance in F_p, a square."""
+    sq = squares_of(p)
+    n = len(points)
+    adj = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            d0, d1 = quadratic_squared_distance(p, f, points[i], points[j])
+            if d1 == 0 and d0 in sq:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return adj
+
+
+def maximal_cliques_through(adj: list, s: int) -> set:
+    """Every maximal clique of a bitmask graph that contains vertex s, as sorted index tuples.
+
+    Grows every clique through s one common neighbour at a time and
+    keeps those that no vertex extends; no pivoting, no pruning.
+    """
+    maximal, seen, frontier = set(), set(), [frozenset([s])]
+    while frontier:
+        clique = frontier.pop()
+        if clique in seen:
+            continue
+        seen.add(clique)
+        common = [v for v in range(len(adj)) if v not in clique and all(adj[u] >> v & 1 for u in clique)]
+        if not common:
+            maximal.add(tuple(sorted(clique)))
+        frontier.extend(clique | {v} for v in common)
+    return maximal
 
 
 def connected_components(adj: list) -> list:

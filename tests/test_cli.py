@@ -46,6 +46,11 @@ def test_circle_cliques(capsys):
     doc = json.loads(out)
     assert [s["size"] for s in doc["sets"]] == [4, 2, 2]
     assert doc["sets"][0]["status"] == "c-maximal"
+    # over F_2003 the one clique is the seed's class of 1002 points
+    code, out, err = run_cli(capsys, "circle", "cliques", "--field", "Fp:2003", "--radius", "1",
+                             "--seed-point", "0,1")
+    assert code == 0, err
+    assert [(s["size"], s["status"]) for s in json.loads(out)["sets"]] == [(1002, "c-maximal")]
 
 
 def test_perfect(capsys):
@@ -334,7 +339,13 @@ def test_keyex_demo_over_q(capsys):
                            "--point", "8/5,6/5", "--seed-a", "3", "--seed-b", "4",
                            "--exp-cap", "32")
     assert code == 0
-    assert json.loads(out)["equal"] is True
+    doc = json.loads(out)
+    assert doc["equal"] is True
+    # the dlog never runs over Q, so neither its cap nor its count is reported
+    assert "dlog_cap" not in doc and "dlog_iterations" not in doc, doc
+    code, out, _ = run_cli(capsys, "keyex", "demo", "--field", "Fp:13", "--radius", "1",
+                           "--point", "2,6")
+    assert code == 0 and json.loads(out)["dlog_cap"] == 10_000
     # at the default exponent cap the shared secret has more than the 4300
     # digits Python converts to text by default; it is printed all the same
     code, out, err = run_cli(capsys, "keyex", "demo", "--field", "Q", "--radius", "1",

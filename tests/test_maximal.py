@@ -49,6 +49,7 @@ from oracles import (
     check_uniformity,
     connected_components,
     least_rational_partner,
+    maximal_cliques_through,
     perfect_distances_by_triangles,
     point_at_distance,
     points_have_uniformity,
@@ -56,6 +57,7 @@ from oracles import (
     quadratic_squared_distance,
     rational_triangle_sides,
     rationality_graph_prime,
+    rationality_graph_quadratic,
     squares_of,
 )
 from circlering.rotation import rot_mul, rot_sqrt, rotation_element
@@ -529,6 +531,47 @@ def test_enumerate_emaximal_sets():
         sets2 = enumerate_emaximal_sets(c, pts[0])
         assert [s.points for s in sets2] == [tuple(pts)]
         assert sets2[0].status is SetStatus.C_MAXIMAL
+
+
+def test_enumerate_emaximal_sets_past_the_recursion_limit():
+    # the one clique through the seed is its whole class of 998 points,
+    # a search 998 levels deep
+    f = PrimeField(1997)
+    c = circle(f, (0, 0), 1)
+    seed = point(f, 0, 1)
+    sets = enumerate_emaximal_sets(c, seed)
+    assert [s.status for s in sets] == [SetStatus.C_MAXIMAL]
+    seed_class = next(s for s in partition_prime_field_circle(c) if seed in s)
+    assert len(seed_class) == 998 and sets[0].points == seed_class.points
+
+
+def test_enumerate_emaximal_sets_matches_clique_oracle():
+    # from every seed, the maximal cliques through it of the rationality
+    # graph on all circle points, built in the oracles' own arithmetic,
+    # largest first and then in raw order; the largest are c-maximal
+    cases = [(13, None, (5, 9), 1)]
+    for p, f in ((3, (1, 0)), (5, (2, 0)), (5, (2, 1)), (7, (1, 0))):
+        cases += [(p, f, ((0, 0), (0, 0)), (1, 0)), (p, f, ((1, 2), (2, 0)), (0, 1)),
+                  (p, f, ((2, 1), (0, 1)), (1, 1))]
+    for p, f, center, r in cases:
+        if f is None:
+            field = PrimeField(p)
+            pts = sorted(brute_circle_prime(p, *center, r))
+            adj = rationality_graph_prime(p, pts)
+        else:
+            field = QuadraticExtension(p, f)
+            pts = sorted(brute_circle_quadratic(p, f, center, r))
+            adj = rationality_graph_quadratic(p, f, pts)
+        c = Circle(point(field, *center), field(r))
+        for s, xy in enumerate(pts):
+            expected = sorted(([pts[i] for i in clique] for clique in maximal_cliques_through(adj, s)),
+                              key=lambda ms: (-len(ms), ms))
+            sets = enumerate_emaximal_sets(c, point(field, *xy))
+            assert [[(q.x.value, q.y.value) for q in st] for st in sets] == expected, (p, f, center, r, xy)
+            best = len(expected[0])
+            assert [st.status for st in sets] == [
+                SetStatus.C_MAXIMAL if len(ms) == best else SetStatus.E_MAXIMAL for ms in expected
+            ]
 
 
 def test_cmaximal_cardinality_cases():
