@@ -6,10 +6,10 @@ circle whose points pairwise have rational squared distance; it is
 e-maximal when no further circle point can be added, and c-maximal when
 it also has the largest cardinality among e-maximal subsets.
 
-This module builds those sets three independent ways (the two-class
-partition over prime fields, growth through perfect distances, and
-exact clique search on the rationality graph) and also knows the
-closed-form cardinality answer for every field kind and radius case.
+This module builds those sets three ways (the two-class partition over
+prime fields, growth through perfect distances, and exact clique search
+on the seed's neighbours, which growth's rotations give) and also knows
+the closed-form cardinality answer for every field kind and radius case.
 """
 
 import enum
@@ -45,7 +45,6 @@ from .plane import (
     _raw,
     _raw_circle_points,
     _raw_squared_distance,
-    circle_cardinality,
     enumerate_circle,
     point_from_parameter,
     squared_distance,
@@ -152,8 +151,8 @@ class CardinalityAnswer:
     witness: tuple | None = None
 
 
-# most circle points enumerate_emaximal_sets searches
-_CLIQUE_CAP = 4096
+# most neighbours of the seed enumerate_emaximal_sets searches
+_CLIQUE_CAP = 2048
 
 
 def _rational(field: FieldDescriptor, a: tuple, b: tuple) -> bool:
@@ -228,16 +227,10 @@ def _four_r2(c: Circle):
     return four_r2
 
 
-def _rest(c: Circle, q):
-    """The raw value 1 - q/(4r^2) for a raw q."""
-    field = c.field
-    return field._sub(field._canon(1), field._mul(q, field._inv(_four_r2(c))))
-
-
 def _acp(c: Circle, q) -> bool:
-    """The algebraic circle property of a raw q."""
+    """The algebraic circle property of a raw q: q and 1 - q/(4r^2) both prime squares."""
     field = c.field
-    rest = _rest(c, q)
+    rest = field._sub(field._canon(1), field._mul(q, field._inv(_four_r2(c))))
     return field._is_prime_subfield_square(q) and field._is_prime_subfield_square(rest)
 
 
@@ -284,6 +277,17 @@ def _rotations(c: Circle, base: tuple):
         return [(sub(x1, uy2), add(x2, uy1)), (add(x1, uy2), sub(x2, uy1))]
 
     return at
+
+
+def _rational_neighbours(c: Circle, at):
+    """(xy, q) for every circle point xy at a nonzero prime-subfield square q from a base.
+
+    `at` is _rotations(c, base); q runs through k^2, k = 1, ..., (p - 1)/2.
+    The antipode, the one point at q = 4r^2, comes twice.
+    """
+    field = c.field
+    squares = (field._canon(k * k) for k in range(1, (field.characteristic + 1) // 2))
+    return ((xy, q) for q in squares for xy in at(q) or ())
 
 
 def _witness(c: Circle, q, at_a):
@@ -513,14 +517,9 @@ def grow_maximal_set(c: Circle, seed: PlanePoint, prefix: int = 64) -> CircularP
 
     When r^2 lies outside the prime subfield, or no perfect distance
     exists, the best rational set through the seed has at most two
-    points: the seed and its least rational partner in raw order, if
-    any.  The partners are the seed rotated about the center by
-    g_q^(+-1) (see _rotations) for each nonzero prime-subfield square q
-    with q(1 - q/(4r^2)) a square of F, compared as raw pairs; only the
-    least is built as a point and checked at its distance.  No partner
-    sits at squared distance 0, which d(s g, s) = 2r(r - g1) takes only
-    at the identity g = (r, 0).  A characteristic past the enumeration
-    cap (10^6) raises CircleTooLarge before any work.
+    points: the seed and the least of _rational_neighbours in raw order,
+    if any, checked at its distance.  A characteristic past the
+    enumeration cap (10^6) raises CircleTooLarge before any work.
     """
     field = c.field
     c.require(seed)
@@ -533,24 +532,20 @@ def grow_maximal_set(c: Circle, seed: PlanePoint, prefix: int = 64) -> CircularP
     p = field.characteristic
     if p > _ENUMERATION_CAP:
         raise CircleTooLarge(f"{p - 1} parameters exceed the cap {_ENUMERATION_CAP}")
-    pts, base = [seed], _raw(seed)
-    at = _rotations(c, base)
-    if (c.radius * c.radius).in_prime_subfield():
-        for q in _perfect_values(c):
-            pts.extend(_points_at_distance(c, at, base, q))
+    pts = list(iter_maximal_points(c, seed)) if (c.radius * c.radius).in_prime_subfield() else [seed]
     if len(pts) == 1:  # no perfect distance: the least rational partner, if any
-        squares = (field._canon(k * k) for k in range(1, (p + 1) // 2))
-        partners = [(xy, q) for q in squares for xy in at(q) or ()]
-        if partners:  # the least partner is the lesser point at its q, checked there
-            pts.append(_points_at_distance(c, at, base, min(partners)[1])[0])
+        base = _raw(seed)
+        at = _rotations(c, base)
+        least = min(_rational_neighbours(c, at), default=None)
+        if least:  # the least partner is the lesser point at its q, checked there
+            pts.append(_points_at_distance(c, at, base, least[1])[0])
     return CircularPointSet(c, pts, SetStatus.C_MAXIMAL)
 
 
 def _rationality_adjacency(field: FieldDescriptor, points: list[tuple]) -> list[int]:
     """Bitmask adjacency of the rationality graph on raw points of a finite field.
 
-    Compares raw squared-distance residues against the prime-subfield
-    squares; in characteristic 2 every distance is 0, a square.
+    Compares raw squared-distance residues against the prime-subfield squares.
     """
     squares = prime_square_values(field.characteristic)
     if not isinstance(field, PrimeField):
@@ -593,34 +588,38 @@ def enumerate_emaximal_sets(c: Circle, seed: PlanePoint):
     """All e-maximal circular point sets containing `seed`, by clique search.
 
     A maximal clique through the seed is the seed plus a maximal clique
-    of its neighbours, so the rationality graph is built on the
-    neighbours alone (n - 1 tests find them) and exact pivoted
-    Bron-Kerbosch runs there on an explicit stack, as deep as the
-    largest clique.  Results are sorted largest-first, then by raw
-    points; the largest are marked c-maximal, which is also globally
-    correct because rotations carry cliques through any point to
-    cliques through any other.  A circle of more than _CLIQUE_CAP points
-    raises CircleTooLarge before any work.
+    of its neighbours, and _rational_neighbours builds them all: every
+    other point is seed g at d = 2r(r - g1), so d fixes g1 and g2 = +-y.
+    Exact pivoted Bron-Kerbosch runs on their rationality graph, on an
+    explicit stack.  Results are sorted largest-first, then by raw
+    points; the largest are c-maximal, which is globally correct because
+    rotations carry cliques through any point to cliques through any
+    other.  In characteristic 2 the one set is the circle.  The seed has
+    at most (p - 1)/2 neighbours over F_p (its class has (p +- 1)/2
+    points) and p - 1 over F_{p^2} (two per nonzero square of F_p); a
+    bound past _CLIQUE_CAP raises CircleTooLarge before any work.
     """
     field = c.field
-    n = circle_cardinality(field)
-    if n > _CLIQUE_CAP:
-        raise CircleTooLarge(f"{n} circle points exceed the cap {_CLIQUE_CAP}")
+    if not field.is_finite():
+        raise InfiniteField("circles over Q have infinitely many points")
+    p = field.characteristic
+    bound = (p - 1) // 2 if isinstance(field, PrimeField) else p - 1
+    if bound > _CLIQUE_CAP:
+        raise CircleTooLarge(f"{bound} possible neighbours of the seed exceed the cap {_CLIQUE_CAP}")
+    if p == 2:
+        return [grow_maximal_set(c, seed)]
     c.require(seed)
     s = _raw(seed)
-    nbrs = [xy for xy in _raw_circle_points(c) if xy != s and _rational(field, s, xy)]
+    nbrs = sorted({xy for xy, _ in _rational_neighbours(c, _rotations(c, s))})
     cliques = [
         sorted([s, *(xy for i, xy in enumerate(nbrs) if mask >> i & 1)])
         for mask in _maximal_cliques(_rationality_adjacency(field, nbrs))
     ]
     cliques.sort(key=lambda ms: (-len(ms), ms))
-    best = len(cliques[0]) if cliques else 0
+    best = len(cliques[0])  # the seed alone is a clique when it has no neighbour
     return [
-        CircularPointSet(
-            c,
-            [_point(field, xy) for xy in ms],
-            SetStatus.C_MAXIMAL if len(ms) == best else SetStatus.E_MAXIMAL,
-        )
+        CircularPointSet(c, _points(field, ms),
+                         SetStatus.C_MAXIMAL if len(ms) == best else SetStatus.E_MAXIMAL)
         for ms in cliques
     ]
 

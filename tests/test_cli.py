@@ -309,7 +309,7 @@ def test_size_caps_refuse_at_once():
 
 
 def test_clique_cap(capsys):
-    # a circle of 4100 points passes the fixed cap of 4096 and is refused before any search
+    # over F_4099 the seed may have 2049 neighbours, past the cap of 2048: refused before any search
     args = ["circle", "cliques", "--field", "Fp:4099", "--radius", "1", "--seed-point", "0,1"]
     code, out, err = run_cli(capsys, *args)
     assert code == 2 and out == "" and "error: CircleTooLarge" in err, err

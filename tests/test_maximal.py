@@ -398,9 +398,9 @@ def test_grow_partner_matches_scan():
 
 
 def test_single_answers_never_scan_the_circle(monkeypatch):
-    # a root, a grown pair and a cardinality witness come by formula:
-    # none of them lists the circle, here of 516,960, 994,008 and
-    # 62,710,560 points
+    # a root, a grown pair, a cardinality witness and a clique search
+    # come by formula: none of them lists the circle, here of 516,960,
+    # 994,008, 62,710,560 and 39,600 points
     def no_scan(c):
         raise AssertionError(f"{c} was scanned")
 
@@ -421,6 +421,28 @@ def test_single_answers_never_scan_the_circle(monkeypatch):
     marker = point(f, 0, (0, 1))
     partner = point(f, (4, 2603), (5495, 5496))
     assert grow_maximal_set(c, marker).points == (marker, partner)
+    # the clique search over F_{199^2} builds the seed's 197 neighbours from its rotations
+    f = QuadraticExtension(199, (1, 0))
+    c, seed = circle(f, (0, 0), 1), point(f, 0, 1)
+    sets = enumerate_emaximal_sets(c, seed)
+    best = [s for s in sets if s.status is SetStatus.C_MAXIMAL]
+    assert len(best) == 1 and len(best[0]) == cmaximal_cardinality(f, c.radius).n == 100
+    assert best[0] == grow_maximal_set(c, seed)
+
+
+def test_clique_cap_counts_neighbours(monkeypatch):
+    # the cap bounds the seed's neighbours, (p - 1)/2 over F_p and p - 1
+    # over F_{p^2}: past it, and over Q, the search is refused before any work
+    def no_work(*args):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(circlering.maximal, "_rotations", no_work)
+    monkeypatch.setattr(circlering.maximal, "_raw_circle_points", no_work)
+    for field in (PrimeField(4099), QuadraticExtension(2053, (2051, 0))):
+        with pytest.raises(CircleTooLarge):
+            enumerate_emaximal_sets(circle(field, (0, 0), 1), point(field, 0, 1))
+    with pytest.raises(InfiniteField):
+        enumerate_emaximal_sets(circle(Q, (0, 0), 1), point(Q, 1, 0))
 
 
 def test_growth_inverts_once(monkeypatch):
