@@ -220,12 +220,7 @@ def _transcript_json(t: keyex.Transcript) -> dict:
 
 def _cmd_keyex_demo(args) -> int:
     base = _rot_element(args)
-    exp_cap = args.exp_cap
-    if exp_cap is None:
-        # coordinate digits grow linearly with the exponent product over Q,
-        # so the demo defaults to a small cap there; --exp-cap overrides
-        exp_cap = 2**64 if base.field.is_finite() else 64
-    params = keyex.ProtocolParams(base, exponent_cap=exp_cap)
+    params = keyex.ProtocolParams(base, exponent_cap=args.exp_cap)
     transcript = keyex.simulate_exchange(params, args.seed_a, args.seed_b, dlog_cap=args.dlog_cap)
     with _long_ints_printable():
         doc = _transcript_json(transcript)
@@ -313,7 +308,8 @@ def _build_parser() -> argparse.ArgumentParser:
     demo = kx_sub.add_parser("demo", parents=[rot_point])
     demo.add_argument("--seed-a", type=int, default=0)
     demo.add_argument("--seed-b", type=int, default=1)
-    demo.add_argument("--exp-cap", type=int, default=None)
+    # small, as coordinate digits grow linearly with the exponent product over Q
+    demo.add_argument("--exp-cap", type=int, default=64, help="private exponent cap, over Q only")
     demo.add_argument("--dlog-cap", type=_nonnegative_int, default=10_000)
     demo.set_defaults(run=_cmd_keyex_demo)
 

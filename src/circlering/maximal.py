@@ -239,13 +239,6 @@ def check_acp(c: Circle, q) -> bool:
     return _acp(c, c.field(q).value)
 
 
-def _antipodes(c: Circle) -> tuple:
-    """The raw pairs of the circle points (m1 + r, m2) and (m1 - r, m2)."""
-    field = c.field
-    (m1, m2), r = _raw(c.center), c.radius.value
-    return (field._add(m1, r), m2), (field._sub(m1, r), m2)
-
-
 def _rotations(c: Circle, base: tuple):
     """q -> [base g_q, base g_q^-1], raw pairs, for a raw base on `c`; unchecked.
 
@@ -290,33 +283,32 @@ def _rational_neighbours(c: Circle, at):
     return ((xy, q) for q in squares for xy in at(q) or ())
 
 
-def _witness(c: Circle, q, at_a):
-    """The witness triangle of a perfect raw value q: three circle points, pairwise rational.
+def _witnesses(c: Circle):
+    """q -> the witness triangle of a perfect raw value q: three circle points, pairwise rational.
 
-    With A, B the antipodes (m1 + r, m2), (m1 - r, m2), M the center and
-    `at_a` = _rotations(c, A) it is (A, M + g_q, M + g_q^-1) for q != 4r^2,
-    both at squared distance q from A; for q = 4r^2 = d(A, B) it is
-    (A, B, the first point at _first_other_perfect(c) from A).
+    A = (m1 + r, m2) is checked on the circle once; the other two points
+    are _points_at_distance(c, _rotations(c, A), A, q), each checked on
+    the circle at squared distance q from A, in its sorted order.  For
+    q = 4r^2 that is the antipode B alone, and C, the first point at
+    _first_other_perfect(c) from A, follows, with (B, C) checked rational.
+    The sort puts A g_q before A g_q^-1 on an origin-centred circle over
+    a finite field; off the origin and over Q it may not.
     """
     field = c.field
-    a, b = _antipodes(c)
-    diameter = q == _four_r2(c)
-    if diameter:
-        raw = (a, b, _raw(_points_at_distance(c, at_a, a, _first_other_perfect(c))[0]))
-    else:
-        raw = (a, *at_a(q))
-    triangle = tuple(_point(field, xy) for xy in raw)
-    for p in triangle:
-        c.require(p)
-    if diameter:
-        if not _rational(field, b, raw[2]):
-            raise AssertionError(f"antipode triangle through {triangle[2]} is not rational")
-    else:
-        side = _raw_squared_distance(field, a, raw[1])
-        if side != q:
-            raise AssertionError(
-                f"witness triangle for {FieldElement(field, q)} has side {FieldElement(field, side)}"
-            )
+    (m1, m2), r = _raw(c.center), c.radius.value
+    a = (field._add(m1, r), m2)
+    at_a = _rotations(c, a)
+    point_a = _point(field, a)
+    c.require(point_a)
+
+    def triangle(q):
+        pts = _points_at_distance(c, at_a, a, q)
+        if len(pts) == 1:  # q = 4r^2
+            pts.append(_points_at_distance(c, at_a, a, _first_other_perfect(c))[0])
+            if not _rational(field, _raw(pts[0]), _raw(pts[1])):
+                raise AssertionError(f"antipode triangle through {pts[1]} is not rational")
+        return (point_a, *pts)
+
     return triangle
 
 
@@ -370,7 +362,7 @@ def _perfect_values(c: Circle):
         )
     if field.is_finite():
         yield from _parametrized_perfect(c)
-        if field._is_prime_subfield_square(four_r2) and _first_other_perfect(c) is not None:
+        if _is_perfect(c, four_r2):
             yield four_r2
         return
     # over Q: 4r^2 is always perfect (r is rational and other perfect
@@ -387,9 +379,9 @@ def iter_perfect_distances(c: Circle):
     stream is infinite and starts with 4r^2.
     """
     field = c.field
-    at_a = _rotations(c, _antipodes(c)[0])
+    witness = _witnesses(c)
     for q in _perfect_values(c):
-        yield FieldElement(field, q), _witness(c, q, at_a)
+        yield FieldElement(field, q), witness(q)
 
 
 def perfect_distances(c: Circle) -> dict:
@@ -415,7 +407,7 @@ def _first_other_perfect(c: Circle):
     is not None.  For the antipodes A, B and every circle point C,
     d(A,C) + d(B,C) = 4r^2 (Thales), so a rational triangle ABC makes
     u = d(A,C) a value with u and 1 - u/(4r^2) both squares: another
-    perfect distance.  Conversely _witness builds ABC from one.
+    perfect distance.  Conversely _witnesses builds ABC from one.
     """
     return next(_parametrized_perfect(c), None)
 
@@ -428,25 +420,26 @@ def is_perfect_distance(c: Circle, q) -> bool:
     needs some rational triangle to realize it, which exists exactly
     when some other perfect distance does.
     """
-    q = c.field(q)
-    return _is_perfect(c, q, check_acp(c, q))
+    return _is_perfect(c, c.field(q).value)
 
 
-def _is_perfect(c: Circle, q: FieldElement, acp: bool) -> bool:
-    """is_perfect_distance for a q whose a.c.p. verdict is already known."""
-    r2 = c.radius * c.radius
-    if q.is_zero() or not acp or not r2.in_prime_subfield():
+def _is_perfect(c: Circle, q) -> bool:
+    """is_perfect_distance on a raw q, the one perfectness rule; False when r^2 is outside P(F)."""
+    field = c.field
+    four_r2 = _four_r2(c)
+    r = c.radius.value
+    if q == field._zero or not _acp(c, q) or not field._in_prime_subfield(field._mul(r, r)):
         return False
-    return q.value != _four_r2(c) or _first_other_perfect(c) is not None
+    return q != four_r2 or _first_other_perfect(c) is not None
 
 
 def perfect_distance_report(c: Circle, q) -> PerfectDistanceReport:
     """Classify one squared distance: rationality, a.c.p., perfectness."""
     q = c.field(q)
     rational = q.is_prime_subfield_square()
-    acp = check_acp(c, q)
-    perfect = _is_perfect(c, q, acp)
-    witness = _witness(c, q.value, _rotations(c, _antipodes(c)[0])) if perfect else None
+    acp = _acp(c, q.value)
+    perfect = _is_perfect(c, q.value)
+    witness = _witnesses(c)(q.value) if perfect else None
     return PerfectDistanceReport(c, q, rational, acp, perfect, witness)
 
 
@@ -547,9 +540,7 @@ def _rationality_adjacency(field: FieldDescriptor, points: list[tuple]) -> list[
 
     Compares raw squared-distance residues against the prime-subfield squares.
     """
-    squares = prime_square_values(field.characteristic)
-    if not isinstance(field, PrimeField):
-        squares = {(s, 0) for s in squares}
+    squares = {field._canon(s) for s in prime_square_values(field.characteristic)}
     n = len(points)
     adj = [0] * n
     for i in range(n):

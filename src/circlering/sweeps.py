@@ -49,28 +49,15 @@ def _prime_theorem_primes(p_max: int, graph_max: int) -> list[int]:
 
 
 def _is_two_clique_graph(p, squares, class_a, class_b):
-    """Brute-force check: the rationality graph is exactly these two cliques."""
-    pts = sorted(class_a | class_b)
-    n = len(pts)
-    index = {pt: i for i, pt in enumerate(pts)}
-    adj = [0] * n
-    for i in range(n):
-        xi, yi = pts[i]
-        for j in range(i + 1, n):
-            xj, yj = pts[j]
-            if ((xi - xj) ** 2 + (yi - yj) ** 2) % p in squares:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    mask_a = sum(1 << index[pt] for pt in class_a)
-    mask_b = sum(1 << index[pt] for pt in class_b)
-    for mask, other in ((mask_a, mask_b), (mask_b, mask_a)):
-        m = mask
-        while m:
-            bit = m & -m
-            i = bit.bit_length() - 1
-            if adj[i] & mask != mask ^ bit or adj[i] & other:
+    """Brute-force check: the rationality graph is exactly these two cliques.
+
+    Every pair is tested once: rational exactly when both points lie in the same class.
+    """
+    pts = [(x, y, (x, y) in class_a) for x, y in sorted(class_a | class_b)]
+    for i, (xi, yi, in_a) in enumerate(pts):
+        for xj, yj, also_in_a in pts[i + 1:]:
+            if (((xi - xj) ** 2 + (yi - yj) ** 2) % p in squares) != (in_a == also_in_a):
                 return False
-            m &= ~bit
     return True
 
 

@@ -187,6 +187,16 @@ def test_prime_theorem_record_names_failed_check(monkeypatch):
         assert not rec["match"] and rec["failed"] == ["class_sizes"], rec
         assert rec["counterexample"]["r"] == r, rec
 
+    # classes of the theorem's sizes, one point of each in the other's, fail only the graph check
+    def swapped(c):
+        first, second = partition(c)
+        return [second[0], *first[1:]], [first[0], *second[1:]]
+
+    monkeypatch.setattr(sweeps, "_raw_partition", swapped)
+    rec = sweeps.prime_theorem_record(13)
+    assert not rec["match"] and rec["failed"] == ["two_cliques"], rec
+    assert rec["counterexample"]["r"] == 1, rec
+
 
 def test_verify_table(capsys):
     code, out, _ = run_cli(capsys, "verify", "table")
@@ -239,6 +249,8 @@ def test_keyex_demo_deterministic(capsys):
     assert out1 == out2
     doc = json.loads(out1)
     assert doc["equal"] is True
+    # over F_p the exponents are drawn below the base point's order, whatever the cap
+    assert run_cli(capsys, *args, "--exp-cap", "3") == (0, out1, "")
 
 
 def test_env_seed_default(capsys, monkeypatch):

@@ -160,10 +160,29 @@ def test_perfect_distances_golden():
         F7(2): (a, point(F7, 0, 1), point(F7, 0, 6)),
         F7(4): (a, point(F7, 6, 0), point(F7, 0, 1)),
     }
+    # off the origin: A = (m1 + r, m2), then the points at q from A in points_at_distance order
+    a = point(F7, 2, 2)
+    assert perfect_distances(circle(F7, (1, 2), 1)) == {
+        F7(2): (a, point(F7, 1, 1), point(F7, 1, 3)),
+        F7(4): (a, point(F7, 0, 2), point(F7, 1, 1)),
+    }
     assert perfect_distances(circle(F5, (0, 0), 1)) == {}
     for r in range(1, 5):
         assert perfect_distances(circle(F5, (0, 0), r)) == {}
     assert {q.value for q in perfect_distances(circle(F3, (0, 0), 1))} == set()
+
+
+def test_witness_points_are_checked_at_their_distance(monkeypatch):
+    # a second point at q that is another circle point, -(A g_q^-1) at 4r^2 - q, is caught
+    rotations = circlering.maximal._rotations
+
+    def second_mirrored(c, base):
+        at = rotations(c, base)
+        return lambda q: [at(q)[0], tuple(-v % 13 for v in at(q)[1])]
+
+    monkeypatch.setattr(circlering.maximal, "_rotations", second_mirrored)
+    with pytest.raises(AssertionError, match="is at 12, not 4"):
+        perfect_distance_report(circle(F13, (0, 0), 2), 4)
 
 
 def test_perfect_distances_match_triangle_oracle():
