@@ -308,8 +308,8 @@ def _build_parser() -> argparse.ArgumentParser:
     demo = kx_sub.add_parser("demo", parents=[rot_point])
     demo.add_argument("--seed-a", type=int, default=0)
     demo.add_argument("--seed-b", type=int, default=1)
-    # small, as coordinate digits grow linearly with the exponent product over Q
-    demo.add_argument("--exp-cap", type=int, default=64, help="private exponent cap, over Q only")
+    demo.add_argument("--exp-cap", type=int, default=keyex.DEFAULT_EXPONENT_CAP,
+                      help="private exponent cap, over Q only")
     demo.add_argument("--dlog-cap", type=_nonnegative_int, default=10_000)
     demo.set_defaults(run=_cmd_keyex_demo)
 

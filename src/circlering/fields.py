@@ -42,6 +42,24 @@ _PSI13 = 3317044064679887385961981
 # largest modulus accepted, in bits: is_prime's time grows about with
 # the cube of the bit length (0.1 s at 1279 bits, 3.6 s at 4423)
 _MODULUS_BITS_CAP = 4096
+# exception messages show a longer integer by its size: its text takes time
+# quadratic in its length, and past CPython's 4300-digit limit str() raises
+# ValueError in place of the error being reported
+_BRIEF_BITS = 256
+
+
+def _brief_int(n: int) -> str:
+    bits = n.bit_length()
+    return str(n) if bits <= _BRIEF_BITS else f"{'-' if n < 0 else ''}<{bits}-bit integer>"
+
+
+def _brief(obj) -> str:
+    """The text of an integer, field element, point or circle for an exception message.
+
+    As str(obj), but an integer of more than _BRIEF_BITS bits is shown by
+    its size and never converted to digits.
+    """
+    return _brief_int(obj) if isinstance(obj, int) else obj._text(_brief_int)
 
 
 def is_prime(n: int) -> bool:
@@ -281,7 +299,7 @@ class FieldElement:
     def sqrt(self) -> "FieldElement":
         """The canonical square root (see the field's docs for the choice)."""
         if not self.is_square():
-            raise NotASquare(f"{self} is not a square in {self.field}")
+            raise NotASquare(f"{_brief(self)} is not a square in {self.field}")
         return FieldElement(self.field, self.field._sqrt(self.value))
 
     def in_prime_subfield(self) -> bool:
@@ -295,15 +313,19 @@ class FieldElement:
     def prime_sqrt(self) -> "FieldElement":
         """Canonical square root taken inside the prime subfield."""
         if not self.is_prime_subfield_square():
-            raise NotASquare(f"{self} is not a prime-subfield square in {self.field}")
+            raise NotASquare(f"{_brief(self)} is not a prime-subfield square in {self.field}")
         return FieldElement(self.field, self.field._sqrt(self.value))
 
     def sort_key(self):
         """Total order on canonical representations, used for enumeration."""
         return self.value
 
+    def _text(self, digits=str) -> str:
+        """The element written with `digits` as the text of each integer."""
+        return self.field._format(self.value, digits)
+
     def __str__(self):
-        return self.field._format(self.value)
+        return self._text()
 
     def __repr__(self):
         return f"<{self} in {self.field}>"
@@ -344,10 +366,6 @@ class FieldDescriptor:
     def is_finite(self) -> bool:
         return self.order is not None
 
-    def elements(self):
-        """All field elements in sort-key order (finite fields only)."""
-        return (FieldElement(self, v) for v in self._raw_elements())
-
     def _raw_elements(self):
         raise InfiniteField(f"{self} is infinite")
 
@@ -357,8 +375,8 @@ class FieldDescriptor:
     def _is_prime_subfield_square(self, a):
         return self._is_square(a)
 
-    def _format(self, a):
-        return str(a)
+    def _format(self, a, digits):
+        return digits(a)
 
     def parse(self, text: str) -> FieldElement:
         """The element written as `text`; ParseError when it names none."""
@@ -598,12 +616,12 @@ class QuadraticExtension(FieldDescriptor):
     def _is_prime_subfield_square(self, a):
         return a[1] == 0 and self._prime._is_square(a[0])
 
-    def _format(self, a):
+    def _format(self, a, digits):
         c0, c1 = a
         if c1 == 0:
-            return str(c0)
-        term = "a" if c1 == 1 else f"{c1}a"
-        return term if c0 == 0 else f"{c0}+{term}"
+            return digits(c0)
+        term = "a" if c1 == 1 else f"{digits(c1)}a"
+        return term if c0 == 0 else f"{digits(c0)}+{term}"
 
     _ELT_RE = re.compile(r"^(?:(?P<c0>-?\d+)\+)?(?:(?P<c1>-?\d*)a)?$")
 
@@ -678,6 +696,10 @@ class Rationals(FieldDescriptor):
     def _sqrt(self, a):
         # canonical choice: the nonnegative root
         return Fraction(math.isqrt(a.numerator), math.isqrt(a.denominator))
+
+    def _format(self, a, digits):
+        num = digits(a.numerator)
+        return num if a.denominator == 1 else f"{num}/{digits(a.denominator)}"
 
     def _parse(self, text):
         return Fraction(text.strip())

@@ -17,14 +17,15 @@ layout (magic "CRC1"); decode(encode(x)) reproduces x bit-exactly, and
 decode accepts no other bytes.
 """
 
+import dataclasses
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
     CircleMismatch,
     DegenerateBasePoint,
     MalformedMessage,
+    ResultTooLarge,
     VersionMismatch,
     WrongFieldKind,
 )
@@ -39,18 +40,22 @@ from .rotation import (
     rot_pow,
 )
 
+DEFAULT_EXPONENT_CAP = 64  # small: over Q coordinate digits grow linearly with the exponent product
+_DLOG_CAP = 10**7  # brute_force_dlog's most steps: 2.5 s at 0.24 s per 10**6 (Intel Xeon, Python 3.11)
+
 
 class ProtocolParams:
     """Public parameters: the circle, a validated base point, exponent cap.
 
     Over F_p the base point's order is computed and must exceed 4; over
     Q the base must be acyclic (both coordinates nonzero), which rules
-    out the four cyclic axis points.  `exponent_cap` bounds the private
-    exponents drawn over Q, where coordinate digit counts grow linearly
-    with the exponent; there it must exceed 2, the least exponent drawn.
+    out the four cyclic axis points.  `exponent_cap` (default 64) bounds
+    the private exponents drawn over Q, where coordinate digit counts
+    grow linearly with the exponent; there it must exceed 2, the least
+    exponent drawn.
     """
 
-    def __init__(self, base: RotationElement, exponent_cap: int = 2**64):
+    def __init__(self, base: RotationElement, exponent_cap: int = DEFAULT_EXPONENT_CAP):
         field = base.field
         if not isinstance(field, (PrimeField, Rationals)):
             raise WrongFieldKind("key exchange runs over prime fields or Q")
@@ -80,7 +85,7 @@ class ProtocolParams:
         return self.base.field
 
 
-@dataclass
+@dataclasses.dataclass
 class PartyState:
     """One participant: role label, private exponent, and what they see."""
 
@@ -116,8 +121,11 @@ def brute_force_dlog(base: RotationElement, target: RotationElement, cap: int) -
     None when no power base^k with k <= cap equals the target, and so
     always for a target on another circle.  The products and comparisons
     are taken on the circle's torus values (one field product per step
-    where -1 is a square).
+    where -1 is a square).  A cap above 10**7 raises ResultTooLarge
+    before the first step.
     """
+    if cap > _DLOG_CAP:
+        raise ResultTooLarge(f"a dlog cap of {cap} exceeds the bound {_DLOG_CAP}")
     if target.circle != base.circle:
         return None
     t = _torus(base.field, base.circle.radius.value)
@@ -131,17 +139,25 @@ def brute_force_dlog(base: RotationElement, target: RotationElement, cap: int) -
     return None
 
 
-@dataclass
+@dataclasses.dataclass(frozen=True)
 class Transcript:
-    """Everything that crossed the (simulated) wire, plus the check bit."""
+    """Everything that crossed the (simulated) wire, plus the check bit.
+
+    `equal` is not passed in: it is whether the two shared secrets
+    agree, compared once when the transcript is made.  Frozen, so the
+    bit cannot go stale.
+    """
 
     base: RotationElement
     sent_a: RotationElement
     sent_b: RotationElement
     shared_a: RotationElement
     shared_b: RotationElement
-    equal: bool
+    equal: bool = dataclasses.field(init=False)
     dlog_iterations: int | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "equal", self.shared_a == self.shared_b)
 
 
 def simulate_exchange(
@@ -170,7 +186,6 @@ def simulate_exchange(
         sent_b=b.sent,
         shared_a=shared_a,
         shared_b=shared_b,
-        equal=shared_a == shared_b,
         dlog_iterations=dlog,
     )
 
@@ -211,35 +226,29 @@ def _pack_descriptor(field) -> bytes:
     return bytes([_KIND_RATIONALS])
 
 
-def _pack_header(circle: Circle) -> bytes:
-    """The header of rotation and transcript messages: descriptor and radius."""
-    return _pack_descriptor(circle.field) + _pack_value(circle.field, circle.radius.value)
+# the points after the descriptor and the value, by tag (layout in decode)
+_POINTS = {_TAG_ELEMENT: 0, _TAG_ROTATION: 1, _TAG_TRANSCRIPT: 5}
 
 
 def encode(obj) -> bytes:
-    """Serialize a FieldElement, RotationElement, or Transcript."""
-    out = bytearray(MAGIC)
-    out.append(WIRE_VERSION)
+    """Serialize a FieldElement, RotationElement, or Transcript (layout in `decode`)."""
     if isinstance(obj, FieldElement):
-        out.append(_TAG_ELEMENT)
-        out += _pack_descriptor(obj.field)
-        out += _pack_value(obj.field, obj.value)
+        tag, field, value, elements = _TAG_ELEMENT, obj.field, obj.value, ()
     elif isinstance(obj, RotationElement):
-        out.append(_TAG_ROTATION)
-        field = obj.field
-        out += _pack_header(obj.circle)
-        out += _pack_value(field, obj.point.x.value)
-        out += _pack_value(field, obj.point.y.value)
+        tag, field, value, elements = _TAG_ROTATION, obj.field, obj.circle.radius.value, (obj,)
     elif isinstance(obj, Transcript):
-        out.append(_TAG_TRANSCRIPT)
-        field = obj.base.field
-        out += _pack_header(obj.base.circle)
-        for e in (obj.base, obj.sent_a, obj.sent_b, obj.shared_a, obj.shared_b):
-            out += _pack_value(field, e.point.x.value)
-            out += _pack_value(field, e.point.y.value)
-        out.append(1 if obj.equal else 0)
+        tag, field, value = _TAG_TRANSCRIPT, obj.base.field, obj.base.circle.radius.value
+        elements = (obj.base, obj.sent_a, obj.sent_b, obj.shared_a, obj.shared_b)
     else:
         raise TypeError(f"cannot encode {type(obj).__name__}")
+    out = bytearray((*MAGIC, WIRE_VERSION, tag))
+    out += _pack_descriptor(field)
+    out += _pack_value(field, value)
+    for e in elements:
+        out += _pack_value(field, e.point.x.value)
+        out += _pack_value(field, e.point.y.value)
+    if tag == _TAG_TRANSCRIPT:
+        out.append(obj.equal)
     return bytes(out)
 
 
@@ -302,22 +311,20 @@ def _read_value(r: _Reader, field):
     return field(Fraction(-num if sign else num, den))
 
 
-def _read_header(r: _Reader):
-    """The field and radius that _pack_header wrote; the caller builds the circle."""
-    field = _read_descriptor(r)
-    return field, _read_value(r, field)
-
-
 def decode(buf: bytes):
     """Inverse of encode; raises MalformedMessage / VersionMismatch.
 
-    A message whose radius is 0 raises ZeroRadius, and one whose point
-    is moved off its circle raises PointNotOnCircle.
+    Every message is "CRC1", version 1, a tag (1 element, 2 rotation
+    element, 3 transcript), the field descriptor, one value (the
+    element, or the radius), 0, 1 or 5 points (x, y), and a transcript's
+    `equal` byte.  It is read whole before any circle is built, so a
+    truncated or padded one is malformed; then a radius of 0 raises
+    ZeroRadius, and a point off its circle PointNotOnCircle.
 
     Only canonical encodings are accepted: anything that parses but
     encodes back to other bytes (an unreduced residue or fraction, a
-    negative zero, an `equal` byte outside {0, 1}, a zero-padded length
-    prefix) is rejected.
+    negative zero, a zero-padded length prefix, an `equal` byte that is
+    not whether the decoded shares agree) is rejected.
     """
     result = _parse(buf)
     if _encode(result) != buf:
@@ -333,27 +340,18 @@ def _parse(buf: bytes):
     if version != WIRE_VERSION:
         raise VersionMismatch(f"wire version {version}, expected {WIRE_VERSION}")
     tag = r.byte()
-    if tag == _TAG_ELEMENT:
-        field = _read_descriptor(r)
-        value = _read_value(r, field)
-        r.done()
-        return value
-    if tag == _TAG_ROTATION:
-        field, radius = _read_header(r)
-        x = _read_value(r, field)
-        y = _read_value(r, field)
-        r.done()
-        circle = Circle(PlanePoint(field.zero, field.zero), radius)
-        return RotationElement(circle, PlanePoint(x, y))
+    points = _POINTS.get(tag)
+    if points is None:
+        raise MalformedMessage(f"unknown message tag {tag}")
+    field = _read_descriptor(r)
+    value = _read_value(r, field)
+    coords = [_read_value(r, field) for _ in range(2 * points)]
     if tag == _TAG_TRANSCRIPT:
-        field, radius = _read_header(r)
-        circle = Circle(PlanePoint(field.zero, field.zero), radius)
-        pts = []
-        for _ in range(5):
-            x = _read_value(r, field)
-            y = _read_value(r, field)
-            pts.append(RotationElement(circle, PlanePoint(x, y)))
-        equal = r.byte()
-        r.done()
-        return Transcript(*pts, equal=bool(equal))
-    raise MalformedMessage(f"unknown message tag {tag}")
+        r.byte()  # `equal` is derived from the shares; the re-encode checks this byte
+    r.done()
+    if not points:
+        return value
+    circle = Circle(PlanePoint(field.zero, field.zero), value)
+    xy = iter(coords)
+    elements = (RotationElement(circle, PlanePoint(x, y)) for x, y in zip(xy, xy))
+    return next(elements) if points == 1 else Transcript(*elements)

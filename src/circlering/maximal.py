@@ -29,6 +29,7 @@ from .fields import (
     PrimeField,
     QuadraticExtension,
     Rationals,
+    _brief,
     contains_sqrt_minus_one,
     prime_square_values,
     squarefree_part,
@@ -315,9 +316,11 @@ def _witnesses(c: Circle):
 def _parametrized_perfect(c: Circle):
     """The raw perfect distances (4tr^2/(t^2+r^2))^2 other than 4r^2, each once.
 
-    t runs through 1, ..., p - 1 of the prime subfield over a finite
+    t runs through 1, ..., (p - 1)/2 of the prime subfield over a finite
     field, and through the positive rationals (Calkin-Wilf order) over
-    Q; values t with t^2 = -r^2 name no distance.
+    Q; values t with t^2 = -r^2 name no distance.  The finite walk stops
+    halfway because -t names the distance t does, so every distance's
+    least parameter is at most (p - 1)/2.
     """
     field = c.field
     add, mul, inv = field._add, field._mul, field._inv
@@ -325,7 +328,7 @@ def _parametrized_perfect(c: Circle):
     r2 = mul(r, r)
     four_r2 = _four_r2(c)
     if field.is_finite():
-        params = map(field._canon, range(1, field.characteristic))
+        params = map(field._canon, range(1, (field.characteristic + 1) // 2))
     else:
         params = _positive_rationals()
     zero = field._zero
@@ -455,7 +458,7 @@ def points_at_distance(c: Circle, base: PlanePoint, q) -> list[PlanePoint]:
     q = c.field(q)
     c.require(base)
     if q.is_zero() or not _acp(c, q.value):
-        raise NotPerfect(f"{q} is not realizable as a perfect distance on {c}")
+        raise NotPerfect(f"{_brief(q)} is not realizable as a perfect distance on {_brief(c)}")
     raw = _raw(base)
     return _points_at_distance(c, _rotations(c, raw), raw, q.value)
 

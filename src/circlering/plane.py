@@ -18,7 +18,7 @@ from .errors import (
     PointNotOnCircle,
     ZeroRadius,
 )
-from .fields import FieldDescriptor, FieldElement, Rationals, contains_sqrt_minus_one
+from .fields import FieldDescriptor, FieldElement, Rationals, _brief, contains_sqrt_minus_one
 
 
 class PointAtInfinityMarker:
@@ -62,8 +62,11 @@ class PlanePoint:
     def sort_key(self):
         return (self.x.sort_key(), self.y.sort_key())
 
+    def _text(self, digits=str) -> str:
+        return f"({self.x._text(digits)},{self.y._text(digits)})"
+
     def __str__(self):
-        return f"({self.x},{self.y})"
+        return self._text()
 
 
 def point(field: FieldDescriptor, x, y) -> PlanePoint:
@@ -98,10 +101,13 @@ class Circle:
 
     def require(self, p: PlanePoint) -> None:
         if not self.contains(p):
-            raise PointNotOnCircle(f"{p} is not on {self}")
+            raise PointNotOnCircle(f"{_brief(p)} is not on {_brief(self)}")
+
+    def _text(self, digits=str) -> str:
+        return f"C({self.center._text(digits)},{self.radius._text(digits)})_{self.field}"
 
     def __str__(self):
-        return f"C({self.center},{self.radius})_{self.field}"
+        return self._text()
 
 
 def circle(field: FieldDescriptor, center, radius) -> Circle:

@@ -45,6 +45,7 @@ from .errors import (
 )
 from .fields import (
     _TRIAL_BOUND,
+    _brief,
     _power,
     _trial_division,
     contains_sqrt_minus_one,
@@ -309,7 +310,7 @@ def _element(circle: Circle, raw: tuple) -> RotationElement:
 def rot_mul(a: RotationElement, b: RotationElement) -> RotationElement:
     """The rotation product of two elements of the same circle group."""
     if a.circle != b.circle:
-        raise CircleMismatch(f"elements of {a.circle} and {b.circle}")
+        raise CircleMismatch(f"elements of {_brief(a.circle)} and {_brief(b.circle)}")
     c = a.circle
     t = _torus(c.field, c.radius.value)
     return _element(c, t.from_torus(t.mul(t.to_torus(_raw(a.point)), t.to_torus(_raw(b.point)))))
@@ -414,7 +415,7 @@ def gaussian_norm_square_check(x: int, y: int) -> bool:
     acyclicity of rational rotation elements.
     """
     if math.gcd(x, y) != 1:
-        raise NotCoprime(f"gcd({x}, {y}) != 1")
+        raise NotCoprime(f"gcd({_brief(x)}, {_brief(y)}) != 1")
     n = x * x + y * y
     return n > 1 and math.isqrt(n) ** 2 == n
 

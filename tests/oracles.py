@@ -16,10 +16,12 @@ Two kinds live here:
 * Exhaustive scans that drive the library's own field elements, points
   and products, checking a global property the library decides by a
   theorem or a closed form: `brute_circle_field`,
-  `distance_from_parameters`, `iterated_rot_pow`,
-  `has_vanishing_distance_pair`, `all_distances_vanish`,
-  `distance_profile`, `points_have_uniformity`, `check_uniformity`, and
-  the finite-field branch of `identity_power_sweep`.
+  `distance_from_parameters`, `parametrized_perfect_full_walk`,
+  `iterated_rot_pow`, `has_vanishing_distance_pair`,
+  `all_distances_vanish`, `distance_profile`, `points_have_uniformity`,
+  `check_uniformity`, and the finite-field branch of
+  `identity_power_sweep`.  `field_elements` lists a finite field's
+  elements for them and for the tests.
 """
 
 import math
@@ -69,13 +71,20 @@ def brute_circle_quadratic(p: int, f: tuple, center: tuple, r: tuple) -> set:
     }
 
 
+def field_elements(field):
+    """All elements of a finite field, in sort-key order."""
+    from circlering.fields import FieldElement
+
+    return (FieldElement(field, v) for v in field._raw_elements())
+
+
 def brute_circle_field(field, center, radius) -> set:
     """Circle points over any finite field by full coordinate scan."""
     m1, m2 = center
     rr = radius * radius
     pts = set()
-    for x in field.elements():
-        for y in field.elements():
+    for x in field_elements(field):
+        for y in field_elements(field):
             dx, dy = x - m1, y - m2
             if dx * dx + dy * dy == rr:
                 pts.add((x, y))
@@ -107,6 +116,28 @@ def distance_from_parameters(c, t1, t2):
     d = t1 - t2
     denom = (t1 * t1 + field.one) * (t2 * t2 + field.one)
     return four * r2 * d * d * denom.inverse()
+
+
+def parametrized_perfect_full_walk(c) -> list:
+    """The raw values (4tr^2/(t^2+r^2))^2 other than 4r^2 for t = 1, ..., p - 1.
+
+    Each value is listed once, in the order of its least parameter t.
+    Over a finite field of characteristic p only.
+    """
+    field = c.field
+    r2 = c.radius * c.radius
+    four_r2 = field.from_int(4) * r2
+    seen, stream = {four_r2}, []
+    for t in range(1, field.characteristic):
+        t = field.from_int(t)
+        denom = t * t + r2
+        if denom.is_zero():
+            continue
+        q = (four_r2 * t / denom) ** 2
+        if q not in seen:
+            seen.add(q)
+            stream.append(q.value)
+    return stream
 
 
 def rationality_graph_prime(p: int, points: list) -> list:

@@ -281,6 +281,10 @@ def test_usage_errors(capsys):
     code, _, err = run_cli(capsys, "keyex", "demo", "--field", "Q", "--radius", "2",
                            "--point", "8/5,6/5", "--exp-cap", "2")
     assert code == 2 and "error: ValueError: exponent_cap" in err, err
+    # an eavesdropper's search past 10^7 steps is refused before the first step
+    code, _, err = run_cli(capsys, "keyex", "demo", "--field", "Fp:999999999989", "--radius", "1",
+                           "--point", "799999999992,599999999994", "--dlog-cap", "100000000000")
+    assert code == 2 and "error: ResultTooLarge: a dlog cap" in err, err
     for argv in (["circle", "bogus"],
                  ["rot", "pow", "--field", "Fp:13", "--radius", "1", "--point", "2,6", "--exp", "-1"],
                  ["keyex", "demo", "--field", "Fp:13", "--radius", "1", "--point", "2,6",

@@ -26,7 +26,7 @@ from circlering.fields import (
     squarefree_part,
 )
 
-from oracles import quadratic_mul, squares_of
+from oracles import field_elements, quadratic_mul, squares_of
 
 F7 = PrimeField(7)
 F13 = PrimeField(13)
@@ -183,7 +183,7 @@ def test_field_axioms_randomized(rng):
 def test_pow_matches_repeated_product():
     rationals = [Q(Fraction(n, d)) for n in range(-3, 4) for d in (1, 2, 5)]
     for field in (F7, PrimeField(2), F49, QuadraticExtension(2, (1, 1)), Q):
-        for e in list(field.elements()) if field.is_finite() else rationals:
+        for e in list(field_elements(field)) if field.is_finite() else rationals:
             acc = field.one
             for n in range(21):
                 assert e ** n == acc
@@ -219,15 +219,15 @@ def test_euler_criterion_against_exhaustive_squaring():
 def test_extension_square_counts():
     for p, f in [(3, (1, 0)), (5, (3, 0)), (7, (1, 0)), (11, (1, 0)), (13, (11, 0)), (23, (1, 0))]:
         field = QuadraticExtension(p, f)
-        by_squaring = {(e * e).value for e in field.elements()}
-        by_euler = {e.value for e in field.elements() if e.is_square()}
+        by_squaring = {(e * e).value for e in field_elements(field)}
+        by_euler = {e.value for e in field_elements(field) if e.is_square()}
         assert by_euler == by_squaring
         assert len(by_squaring - {(0, 0)}) == (field.order - 1) // 2
 
 
 def test_char2_everything_is_a_square():
     for field in (PrimeField(2), QuadraticExtension(2, (1, 1))):
-        for e in field.elements():
+        for e in field_elements(field):
             assert e.is_square()
             root = e.sqrt()
             assert root * root == e
@@ -263,7 +263,7 @@ def test_extension_sqrt_roundtrip():
         roots = {}
         for x in product(range(p), repeat=2):
             roots.setdefault(quadratic_mul(p, f, x, x), []).append(x)
-        for e in field.elements():
+        for e in field_elements(field):
             assert e.is_square() == (e.value in roots)
             if e.is_square():
                 root = e.sqrt()
@@ -318,7 +318,7 @@ def test_sqrt_minus_one_criterion():
     assert contains_sqrt_minus_one(F13)
     assert contains_sqrt_minus_one(F49)
     # exhaustive oracle for F_49: some element squares to -1
-    assert any((e * e).value == (6, 0) for e in F49.elements())
+    assert any((e * e).value == (6, 0) for e in field_elements(F49))
     assert not contains_sqrt_minus_one(Q)
 
 
@@ -334,6 +334,19 @@ def test_sqrt_minus_one_mod4_sweep():
                     continue
                 assert contains_sqrt_minus_one(ext) == (p * p % 4 != 3)
                 break
+
+
+def test_not_a_square_message_is_bounded():
+    # 2 * 10^5000 has an odd power of 2, and more digits than CPython will
+    # convert to text; the message shows its size instead
+    e = Q(2 * 10**5000)
+    for root in (e.sqrt, e.prime_sqrt):
+        with pytest.raises(NotASquare) as info:
+            root()
+        text = str(info.value)
+        assert len(text) < 200 and "<16611-bit integer>" in text, text
+    with pytest.raises(NotASquare, match="-<16611-bit integer> is not a square in Q"):
+        Q(-2 * 10**5000).sqrt()
 
 
 def test_squarefree_part_golden():

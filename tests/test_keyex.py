@@ -7,6 +7,8 @@ from circlering.errors import (
     CircleRingError,
     DegenerateBasePoint,
     MalformedMessage,
+    PointNotOnCircle,
+    ResultTooLarge,
     VersionMismatch,
     WrongFieldKind,
 )
@@ -53,6 +55,15 @@ def test_params_validation():
     assert keygen(ProtocolParams(BASEQ, exponent_cap=3), 0).exponent == 2
     # over F_p exponents are drawn below the base's order, and the cap is unused
     assert ProtocolParams(BASE13, exponent_cap=2).order == 12
+
+
+def test_default_exponent_cap_runs_over_q():
+    # a cap near 2^64 drew exponents whose powers over Q no one can compute
+    params = ProtocolParams(BASEQ)
+    assert params.exponent_cap == 64
+    for seed in range(4):
+        t = simulate_exchange(params, seed, seed + 1)
+        assert t.equal and t.shared_a == rot_pow(t.sent_b, keygen(params, seed).exponent)
 
 
 def test_keygen_deterministic_and_in_range():
@@ -135,6 +146,19 @@ def test_brute_force_dlog_cost():
         assert brute_force_dlog(BASE13, rotation_element(other, 1, 0), 12) is None
 
 
+def test_dlog_cap_is_bounded():
+    # 10^7 steps take a few seconds; a larger cap is refused before the first
+    target = rot_pow(BASE13, 5)
+    assert brute_force_dlog(BASE13, target, 10**7) == 5
+    for cap in (10**7 + 1, 10**11):
+        with pytest.raises(ResultTooLarge, match="dlog cap"):
+            brute_force_dlog(BASE13, target, cap)
+    with pytest.raises(ResultTooLarge):
+        simulate_exchange(ProtocolParams(BASE13), 1, 2, dlog_cap=10**11)
+    # over Q the dlog never runs, so its cap is not checked
+    assert simulate_exchange(ProtocolParams(BASEQ), 1, 2, dlog_cap=10**11).dlog_iterations is None
+
+
 def test_wire_roundtrip_elements(rng):
     f101 = PrimeField(101)
     f49 = QuadraticExtension(7, (1, 0))
@@ -161,6 +185,51 @@ def test_wire_roundtrip_rotation_and_transcript(rng):
         tparam = Fraction(rng.randrange(-30, 31), rng.randrange(1, 20))
         e = RotationElement(cq, point_from_parameter(cq, tparam))
         assert decode(encode(e)) == e
+
+
+def test_wire_layout_golden():
+    # after the tag: descriptor, one value (element or radius), 0, 1 or 5
+    # points, and a transcript's `equal` byte
+    head = b"CRC1\x01"
+    f13 = b"\x00" + _uint(13)
+    assert encode(F13(5)) == head + b"\x01" + f13 + _uint(5)
+    assert encode(BASE13) == head + b"\x02" + f13 + _uint(1) + _uint(2) + _uint(6)
+    assert encode(BASEQ) == head + b"\x02\x02" + _fraction(2) + _fraction(8, 5) + _fraction(6, 5)
+    t = simulate_exchange(ProtocolParams(BASE13), 9, 10)
+    points = b"".join(_uint(e.point.x.value) + _uint(e.point.y.value)
+                      for e in (t.base, t.sent_a, t.sent_b, t.shared_a, t.shared_b))
+    assert encode(t) == head + b"\x03" + f13 + _uint(1) + points + b"\x01"
+
+
+def test_transcript_equal_is_read_from_its_shares():
+    params = ProtocolParams(BASE13)
+    t = simulate_exchange(params, 9, 10)
+    with pytest.raises(TypeError):
+        Transcript(t.base, t.sent_a, t.sent_b, t.shared_a, t.shared_b, equal=False)
+    # frozen, so `equal` cannot go stale and encode never writes a byte decode refuses
+    with pytest.raises(AttributeError):
+        t.shared_b = t.base
+    buf = encode(t)
+    assert buf[-1] == 1
+    # an `equal` byte that contradicts the shares is not canonical
+    with pytest.raises(MalformedMessage, match="non-canonical"):
+        decode(buf[:-1] + b"\x00")
+    # shares that differ make `equal` false, and the byte 1 is refused
+    other = Transcript(t.base, t.sent_a, t.sent_b, t.shared_a, t.base)
+    assert not other.equal
+    wire = encode(other)
+    assert wire[-1] == 0 and decode(wire) == other and not decode(wire).equal
+    with pytest.raises(MalformedMessage, match="non-canonical"):
+        decode(wire[:-1] + b"\x01")
+
+
+def test_decode_shows_a_huge_point_by_size():
+    # radius 1 and the point (10^5000 + 1, 0) over Q: a 2 KB rotation
+    # message whose point is off the circle, and too long to print
+    buf = b"CRC1\x01\x02\x02" + _fraction(1) + _fraction(10**5000 + 1) + _fraction(0)
+    with pytest.raises(PointNotOnCircle) as info:
+        decode(buf)
+    assert len(str(info.value)) < 200
 
 
 def test_wire_errors():
@@ -195,6 +264,11 @@ def test_wire_errors():
 def _uint(n: int) -> bytes:
     body = n.to_bytes((n.bit_length() + 7) // 8, "big")
     return len(body).to_bytes(4, "big") + body
+
+
+def _fraction(num: int, den: int = 1) -> bytes:
+    """A nonnegative rational as a wire value: sign byte 0, numerator, denominator."""
+    return b"\x00" + _uint(num) + _uint(den)
 
 
 def test_wire_mutations_roundtrip_or_raise(rng):

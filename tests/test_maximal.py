@@ -18,6 +18,7 @@ from circlering.fields import PrimeField, QuadraticExtension, Rationals, primes_
 from circlering.maximal import (
     CircularPointSet,
     SetStatus,
+    _parametrized_perfect,
     check_acp,
     cmaximal_cardinality,
     enumerate_emaximal_sets,
@@ -48,8 +49,10 @@ from oracles import (
     brute_circle_quadratic,
     check_uniformity,
     connected_components,
+    field_elements,
     least_rational_partner,
     maximal_cliques_through,
+    parametrized_perfect_full_walk,
     perfect_distances_by_triangles,
     point_at_distance,
     points_have_uniformity,
@@ -61,6 +64,7 @@ from oracles import (
     squares_of,
 )
 from circlering.rotation import rot_mul, rot_sqrt, rotation_element
+from circlering.sweeps import _extension_modulus
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -224,6 +228,19 @@ def test_perfect_distances_match_triangle_oracle():
         assert all(map(rational, sides)) and four_r2 in sides, c
     # r^2 = 1 over F_5, F_9 and F_25: no parametrized perfect distance, so no 4r^2 either
     assert {("Fp:5", "1"), ("Fp2:3,x^2+1", "1"), ("Fp2:5,x^2+3", "1")} <= without_4r2
+
+
+def test_parameter_walk_stops_halfway():
+    # -t names the distance t does, so t = 1, ..., (p - 1)/2 yields the
+    # stream of the full walk, in the same order
+    fields = [PrimeField(p) for p in primes_up_to(61) if p % 2]
+    fields += [QuadraticExtension(p, _extension_modulus(p)) for p in (3, 5, 7, 11, 13)]
+    for field in fields:
+        for r in field_elements(field):
+            if r.is_zero():
+                continue
+            c = Circle(PlanePoint(field.zero, field.zero), r)
+            assert list(_parametrized_perfect(c)) == parametrized_perfect_full_walk(c), c
 
 
 def test_perfect_witnesses_are_rational_triangles():

@@ -5,6 +5,8 @@ import pytest
 
 from circlering.errors import (
     InfiniteField,
+    NotCoprime,
+    NotPerfect,
     ParameterSquaresToMinusOne,
     PointNotOnCircle,
     ZeroRadius,
@@ -22,7 +24,8 @@ from circlering.plane import (
     point_from_parameter,
     squared_distance,
 )
-from circlering.rotation import RotationElement, rot_mul, rotation_element
+from circlering.maximal import is_rational_distance, points_at_distance
+from circlering.rotation import RotationElement, gaussian_norm_square_check, rot_mul, rotation_element
 
 from oracles import (
     all_distances_vanish,
@@ -41,6 +44,31 @@ Q = Rationals()
 def test_circle_rejects_zero_radius():
     with pytest.raises(ZeroRadius):
         circle(F7, (0, 0), 0)
+
+
+def test_messages_show_huge_values_by_size():
+    # the text of 10^5000 + 1 has more than CPython's 4300-digit limit, so
+    # putting it in a message would raise ValueError in place of the error
+    c = circle(Q, (0, 0), 1)
+    off = point(Q, 10**5000 + 1, 0)
+    on = point(Q, 1, 0)
+    huge_radius = circle(Q, (0, 0), Fraction(1, 3**9000))
+    cases = [
+        (PointNotOnCircle, lambda: c.require(off)),
+        (PointNotOnCircle, lambda: RotationElement(c, off)),
+        (PointNotOnCircle, lambda: RotationElement(huge_radius, on)),
+        (PointNotOnCircle, lambda: is_rational_distance(c, on, off)),
+        (NotPerfect, lambda: points_at_distance(c, on, 10**5000)),
+        (NotCoprime, lambda: gaussian_norm_square_check(2 * 10**5000, 4)),
+    ]
+    for error, call in cases:
+        with pytest.raises(error) as info:
+            call()
+        text = str(info.value)
+        assert len(text) < 200 and "-bit integer>" in text, text
+    # values of up to 256 bits are written out
+    with pytest.raises(PointNotOnCircle, match=r"\(5,0\) is not on C\(\(0,0\),1\)_Q"):
+        c.require(point(Q, 5, 0))
 
 
 def test_squared_distance_golden():
