@@ -26,6 +26,7 @@ import math
 import re
 import reprlib
 from bisect import bisect_right
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -222,21 +223,17 @@ def squarefree_part(q) -> int:
     return sign * _squarefree_part_int(num) * _squarefree_part_int(den)
 
 
+@dataclass(frozen=True, slots=True)
 class FieldElement:
     """An element of one of the supported fields, in canonical form.
 
     Arithmetic is exact and closed; mixing elements of different fields
-    raises DescriptorMismatch.  Instances are immutable and hashable.
+    raises DescriptorMismatch.  Instances are immutable, hashable and
+    picklable, and equal exactly when their fields and raw values are.
     """
 
-    __slots__ = ("field", "value")
-
-    def __init__(self, field, value):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "value", value)
-
-    def __setattr__(self, name, val):
-        raise AttributeError("FieldElement is immutable")
+    field: "FieldDescriptor"
+    value: object
 
     def _peer(self, other):
         if not isinstance(other, FieldElement):
@@ -281,16 +278,6 @@ class FieldElement:
 
     def __bool__(self):
         return not self.is_zero()
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldElement)
-            and self.field == other.field
-            and self.value == other.value
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.value))
 
     def is_square(self) -> bool:
         """True when some field element squares to this one; 0 counts."""

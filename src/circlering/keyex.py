@@ -31,14 +31,7 @@ from .errors import (
 )
 from .fields import FieldElement, PrimeField, QuadraticExtension, Rationals
 from .plane import Circle, PlanePoint
-from .rotation import (
-    RotationElement,
-    _raw,
-    _torus,
-    classify_cyclicity,
-    element_order,
-    rot_pow,
-)
+from .rotation import RotationElement, classify_cyclicity, element_order, rot_pow
 
 DEFAULT_EXPONENT_CAP = 64  # small: over Q coordinate digits grow linearly with the exponent product
 _DLOG_CAP = 10**7  # brute_force_dlog's most steps: 2.5 s at 0.24 s per 10**6 (Intel Xeon, Python 3.11)
@@ -128,9 +121,9 @@ def brute_force_dlog(base: RotationElement, target: RotationElement, cap: int) -
         raise ResultTooLarge(f"a dlog cap of {cap} exceeds the bound {_DLOG_CAP}")
     if target.circle != base.circle:
         return None
-    t = _torus(base.field, base.circle.radius.value)
+    t, step = base._on_torus()
+    goal = target._on_torus()[1]
     mul, same = t.mul, t.same
-    step, goal = t.to_torus(_raw(base.point)), t.to_torus(_raw(target.point))
     acc = step
     for k in range(1, cap + 1):
         if same(acc, goal):

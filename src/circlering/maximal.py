@@ -12,8 +12,8 @@ on the seed's neighbours, which growth's rotations give) and also knows
 the closed-form cardinality answer for every field kind and radius case.
 """
 
+import dataclasses
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -30,7 +30,6 @@ from .fields import (
     QuadraticExtension,
     Rationals,
     _brief,
-    contains_sqrt_minus_one,
     prime_square_values,
     squarefree_part,
 )
@@ -58,6 +57,7 @@ class SetStatus(enum.Enum):
     C_MAXIMAL = "c-maximal"
 
 
+@dataclasses.dataclass(frozen=True, slots=True)
 class CircularPointSet:
     """A set of circle points with pairwise rational squared distances.
 
@@ -66,15 +66,21 @@ class CircularPointSet:
     raw field values.  Over a prime field and over Q rationality is a
     class relation (two-class theorem), so every point is checked
     against the first one only; over a quadratic extension it is not
-    transitive and every pair is checked.  `is_prefix` marks the finite
-    prefix of a countably infinite set over Q.
+    transitive and every pair is checked.  `points` is kept as a sorted
+    tuple without repeats.  `is_prefix` marks the finite prefix of a
+    countably infinite set over Q.  Sets are frozen, and equal exactly
+    when their circles and points are; `status` and `is_prefix` are not
+    compared.
     """
 
-    __slots__ = ("circle", "points", "status", "is_prefix")
+    circle: Circle
+    points: tuple
+    status: SetStatus = dataclasses.field(default=SetStatus.UNCLASSIFIED, compare=False)
+    is_prefix: bool = dataclasses.field(default=False, compare=False)
 
-    def __init__(self, circle, points, status=SetStatus.UNCLASSIFIED,
-                 is_prefix=False):
-        pts = sorted(set(points), key=PlanePoint.sort_key)
+    def __post_init__(self):
+        circle = self.circle
+        pts = sorted(set(self.points), key=PlanePoint.sort_key)
         for p in pts:
             circle.require(p)
         field = circle.field
@@ -87,10 +93,7 @@ class CircularPointSet:
                     raise ValueError(
                         f"non-rational distance {squared_distance(p, q)} between {p} and {q}"
                     )
-        self.circle = circle
-        self.points = tuple(pts)
-        self.status = status
-        self.is_prefix = is_prefix
+        object.__setattr__(self, "points", tuple(pts))
 
     def __len__(self):
         return len(self.points)
@@ -100,16 +103,6 @@ class CircularPointSet:
 
     def __contains__(self, p):
         return p in self.points
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CircularPointSet)
-            and self.circle == other.circle
-            and self.points == other.points
-        )
-
-    def __hash__(self):
-        return hash((self.circle, self.points))
 
     def distance_values(self) -> set:
         """All pairwise squared distances occurring inside the set."""
@@ -125,7 +118,7 @@ class CircularPointSet:
         return f"CircularPointSet[{self.status.value}]{{{body}}}"
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class PerfectDistanceReport:
     """Everything known about one candidate squared distance."""
 
@@ -137,7 +130,7 @@ class PerfectDistanceReport:
     witness: tuple | None  # three points forming a rational triangle
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class CardinalityAnswer:
     """Cardinality of c-maximal circular point sets for one field/radius.
 
@@ -650,7 +643,7 @@ def cmaximal_cardinality(field: FieldDescriptor, r) -> CardinalityAnswer:
         return CardinalityAnswer("at_most_two", witness=witness)
     if char == 3:
         return CardinalityAnswer("finite", 2)
-    root_of_minus_one = contains_sqrt_minus_one(PrimeField(char))
+    root_of_minus_one = field(-1).is_prime_subfield_square()
     if r.in_prime_subfield():
         n = (char - 1) // 2 if root_of_minus_one else (char + 1) // 2
     else:

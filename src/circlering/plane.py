@@ -38,7 +38,7 @@ class PointAtInfinityMarker:
 AT_INFINITY = PointAtInfinityMarker()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlanePoint:
     """A point of the affine plane F x F."""
 
@@ -74,7 +74,7 @@ def point(field: FieldDescriptor, x, y) -> PlanePoint:
     return PlanePoint(field(x), field(y))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Circle:
     """The circle of center M and radius r; r = 0 is rejected."""
 

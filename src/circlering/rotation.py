@@ -61,25 +61,27 @@ from .plane import (
 )
 
 
+@dataclass(frozen=True, slots=True)
 class RotationElement:
     """A point on an origin-centered circle, viewed as a group element."""
 
-    __slots__ = ("circle", "point")
+    circle: Circle
+    point: PlanePoint
 
-    def __init__(self, circle: Circle, point: PlanePoint):
-        zero = circle.field._zero
-        if _raw(circle.center) != (zero, zero):
+    def __post_init__(self):
+        zero = self.circle.field._zero
+        if _raw(self.circle.center) != (zero, zero):
             raise ValueError("rotation group lives on circles centered at the origin")
-        circle.require(point)
-        object.__setattr__(self, "circle", circle)
-        object.__setattr__(self, "point", point)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RotationElement is immutable")
+        self.circle.require(self.point)
 
     @property
     def field(self):
         return self.circle.field
+
+    def _on_torus(self):
+        """The circle's torus (see _torus) and this element's value on it."""
+        t = _torus(self.field, self.circle.radius.value)
+        return t, t.to_torus(_raw(self.point))
 
     def __mul__(self, other):
         return rot_mul(self, other)
@@ -92,16 +94,6 @@ class RotationElement:
 
     def is_identity(self) -> bool:
         return self.point.x == self.circle.radius and self.point.y.is_zero()
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RotationElement)
-            and self.circle == other.circle
-            and self.point == other.point
-        )
-
-    def __hash__(self):
-        return hash((self.circle, self.point))
 
     def __str__(self):
         return str(self.point)
@@ -311,9 +303,8 @@ def rot_mul(a: RotationElement, b: RotationElement) -> RotationElement:
     """The rotation product of two elements of the same circle group."""
     if a.circle != b.circle:
         raise CircleMismatch(f"elements of {_brief(a.circle)} and {_brief(b.circle)}")
-    c = a.circle
-    t = _torus(c.field, c.radius.value)
-    return _element(c, t.from_torus(t.mul(t.to_torus(_raw(a.point)), t.to_torus(_raw(b.point)))))
+    t, u = a._on_torus()
+    return _element(a.circle, t.from_torus(t.mul(u, b._on_torus()[1])))
 
 
 def rot_pow(a: RotationElement, n: int) -> RotationElement:
@@ -325,9 +316,8 @@ def rot_pow(a: RotationElement, n: int) -> RotationElement:
     """
     if not isinstance(n, int) or n < 0:
         raise ValueError("exponent must be a nonnegative integer")
-    c = a.circle
-    t = _torus(c.field, c.radius.value)
-    return _element(c, t.from_torus(t.pow(t.to_torus(_raw(a.point)), n)))
+    t, u = a._on_torus()
+    return _element(a.circle, t.from_torus(t.pow(u, n)))
 
 
 def induced_squared_distance(a: RotationElement):
@@ -362,9 +352,9 @@ def rot_sqrt(a: RotationElement) -> RotationElement | None:
         return None
     beta = field._sqrt(beta2)
     b = (mul(mul(half_r, a2), inv(beta)), beta)
-    t = _torus(field, r)
+    t, target = a._on_torus()
     root = t.to_torus(b)
-    if not t.same(t.mul(root, root), t.to_torus(_raw(a.point))):
+    if not t.same(t.mul(root, root), target):
         raise AssertionError(f"square-root construction failed for {a}")
     return _element(a.circle, b)
 
@@ -397,10 +387,8 @@ def element_order(a: RotationElement) -> int:
     """
     if not a.field.is_finite():
         raise WrongFieldKind("element orders over Q come from classify_cyclicity")
-    c = a.circle
-    t = _torus(c.field, c.radius.value)
-    x = t.to_torus(_raw(a.point))
-    order = group_order(c)
+    t, x = a._on_torus()
+    order = group_order(a.circle)
     for p in _factorize(order):
         while order % p == 0 and t.same(t.pow(x, order // p), t.one):
             order //= p

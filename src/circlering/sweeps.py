@@ -21,7 +21,7 @@ from .fields import (
     primes_up_to,
 )
 from .maximal import _raw_partition, cmaximal_cardinality, grow_maximal_set
-from .plane import Circle, PlanePoint, circle, enumerate_circle
+from .plane import AT_INFINITY, Circle, PlanePoint, circle, point_from_parameter
 
 
 # largest prime bound each sweep accepts, checked before the sieve, which
@@ -132,12 +132,14 @@ def default_table_cells():
 
 
 def table_cell_record(field, radius) -> dict:
-    """Compare the table answer against a grown set for one cell."""
+    """Compare the table answer against a grown set for one cell.
+
+    The set is grown from the marker, which lies on every circle; the
+    rotations act transitively, so its size does not depend on the seed.
+    """
     answer = cmaximal_cardinality(field, radius)
-    origin = PlanePoint(field.zero, field.zero)
-    c = Circle(origin, radius)
-    seed = enumerate_circle(c)[0]
-    grown = grow_maximal_set(c, seed)
+    c = Circle(PlanePoint(field.zero, field.zero), radius)
+    grown = grow_maximal_set(c, point_from_parameter(c, AT_INFINITY))
     if answer.kind == "finite":
         expected_text = str(answer.n)
         checks = {"grown_size": len(grown) == answer.n}

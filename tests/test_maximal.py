@@ -647,6 +647,19 @@ def test_cmaximal_cardinality_cases():
         cmaximal_cardinality(F7, 0)
 
 
+def test_cmaximal_cardinality_tests_no_primality(monkeypatch):
+    # the answer reads whether -1 is a square off the given field, building no new one
+    f13, f169 = PrimeField(13), QuadraticExtension(13, (11, 0))
+
+    def no_primality(n):
+        raise AssertionError(f"is_prime({n}) called")
+
+    monkeypatch.setattr(circlering.fields, "is_prime", no_primality)
+    assert cmaximal_cardinality(f13, 1).n == cmaximal_cardinality(f13, 2).n == 6
+    assert cmaximal_cardinality(f169, 1).n == 6
+    assert cmaximal_cardinality(f169, (0, 1)).n == 7  # r = a, r^2 = 2 in F_13
+
+
 def test_grow_from_every_seed_matches_table():
     # the grown set through any seed is pairwise-rational (validated at
     # construction) and always reaches the closed-form cardinality
