@@ -7,26 +7,27 @@ Supported fields:
   elements stored as coefficient pairs (c0, c1) meaning c0 + c1*a
 * ``Rationals()``            -- Q, elements stored as reduced Fractions
 
-All arithmetic is exact; there is no floating point anywhere.  Elements
-are immutable value objects and safe to share between threads.
+All arithmetic is exact, with no floating point.  Field descriptors and
+elements are frozen value objects, safe to share between threads.
 
 Besides the four operations the module provides powers (one
 square-and-multiply, or the builtin where the field has one), square
 testing (Euler criterion over finite fields, perfect-square test over
-Q), canonical square roots (Tonelli-Shanks over F_p; over F_{p^2} built
-from F_p roots by norm and trace), prime-subfield membership tests, the
-squarefree-part map that names the coset of a nonzero rational in
-Q*/squares, and the primality test behind every prime modulus (exact
-below psi_13 = 3317044064679887385961981, Baillie-PSW above).
+Q), canonical square roots (Tonelli-Shanks over F_p, with a non-square
+found once per field; over F_{p^2} from F_p roots by norm and trace),
+prime-subfield membership, the squarefree-part map naming the coset of
+a nonzero rational in Q*/squares, and the primality test of every
+modulus (exact below psi_13 = 3317044064679887385961981, Baillie-PSW above).
 """
 
-import functools
+import dataclasses
 import itertools
 import math
+import operator
 import re
 import reprlib
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -321,14 +322,17 @@ class FieldElement:
 class FieldDescriptor:
     """Shared behaviour of the three field kinds.
 
-    The prime-subfield methods default to those of a field that is its
+    The kinds are frozen slotted dataclasses, checked once when built,
+    so no holder of a field can change it under another.  The
+    prime-subfield methods default to those of a field that is its
     own prime subfield, as F_p and Q are; QuadraticExtension overrides them.
     """
 
-    kind = "?"
-    characteristic = 0
-    order: int | None = None  # None for Q
+    __slots__ = ()
     _zero = 0  # raw value of the zero element
+
+    # read from p over F_p (F_{p^2} overrides order); Q overrides both
+    characteristic = order = property(lambda self: self.p)
 
     def __call__(self, value) -> FieldElement:
         """The element named by `value`; an element of this field is returned as is."""
@@ -336,7 +340,12 @@ class FieldDescriptor:
             if value.field != self:
                 raise DescriptorMismatch(f"{value.field} element given to {self}")
             return value
-        return FieldElement(self, self._canon(value))
+        return FieldElement(self, self._canon(self._exact(value)))
+
+    @staticmethod
+    def _exact(value):
+        """An integer or a pair of them, checked: a float or Fraction is refused, not truncated."""
+        return operator.index(value) if hasattr(value, "__index__") else tuple(map(operator.index, value))
 
     def from_int(self, n: int) -> FieldElement:
         """Image of the integer n under the canonical ring map Z -> F."""
@@ -378,31 +387,23 @@ class FieldDescriptor:
     def __str__(self):
         return self.to_text()
 
-    def __repr__(self):
-        return self.to_text()
+    __repr__ = __str__
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class PrimeField(FieldDescriptor):
     """F_p for a prime p; elements are residues in [0, p)."""
 
-    kind = "prime"
-    __slots__ = ("p",)
+    p: int
+    _found_non_square: int | None = dataclasses.field(default=None, init=False, compare=False)
 
-    def __init__(self, p: int):
-        bits = p.bit_length()
-        if bits > _MODULUS_BITS_CAP:
-            raise ValueError(f"a {bits}-bit modulus exceeds the {_MODULUS_BITS_CAP}-bit cap")
+    def __post_init__(self):
+        p = operator.index(self.p)
+        if p.bit_length() > _MODULUS_BITS_CAP:
+            raise ValueError(f"a {p.bit_length()}-bit modulus exceeds the {_MODULUS_BITS_CAP}-bit cap")
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
-        self.p = p
-        self.characteristic = p
-        self.order = p
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("prime", self.p))
+        object.__setattr__(self, "p", p)
 
     def _canon(self, v):
         return int(v) % self.p
@@ -430,10 +431,13 @@ class PrimeField(FieldDescriptor):
             return True
         return pow(a, (self.p - 1) // 2, self.p) == 1
 
-    @functools.cached_property
+    @property
     def _non_square(self):
         """The least non-square, found on first use and kept by the field."""
-        return next(z for z in range(2, self.p) if not self._is_square(z))
+        if self._found_non_square is None:
+            z = next(z for z in range(2, self.p) if not self._is_square(z))
+            object.__setattr__(self, "_found_non_square", z)
+        return self._found_non_square
 
     def _sqrt(self, a):
         # canonical choice: the root in [0, (p-1)/2]
@@ -498,6 +502,7 @@ _POLY_RE = re.compile(
 )
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class QuadraticExtension(FieldDescriptor):
     """F_p[a]/(f) for f monic of degree 2 and irreducible over F_p.
 
@@ -508,30 +513,22 @@ class QuadraticExtension(FieldDescriptor):
     polynomial must not vanish at 0 or 1.
     """
 
-    kind = "quadratic"
-    __slots__ = ("p", "f0", "f1", "_prime")
     _zero = (0, 0)
+    p: int
+    f: InitVar[tuple[int, int]]
+    f0: int = dataclasses.field(init=False)
+    f1: int = dataclasses.field(init=False)
+    _prime: PrimeField = dataclasses.field(init=False, compare=False)
 
-    def __init__(self, p: int, f: tuple[int, int]):
-        prime_field = PrimeField(p)
-        f0, f1 = int(f[0]) % p, int(f[1]) % p
-        if not _is_irreducible(prime_field, f0, f1):
-            raise ValueError(f"x^2 + {f1}x + {f0} has a root mod {p}; not irreducible")
-        self._prime = prime_field
-        self.p = p
-        self.f0 = f0
-        self.f1 = f1
-        self.characteristic = p
-        self.order = p * p
+    def __post_init__(self, f):
+        prime = PrimeField(self.p)
+        f0, f1 = (operator.index(c) % prime.p for c in f)
+        if not _is_irreducible(prime, f0, f1):
+            raise ValueError(f"x^2 + {f1}x + {f0} has a root mod {prime.p}; not irreducible")
+        for name, value in (("p", prime.p), ("f0", f0), ("f1", f1), ("_prime", prime)):
+            object.__setattr__(self, name, value)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, QuadraticExtension)
-            and (other.p, other.f0, other.f1) == (self.p, self.f0, self.f1)
-        )
-
-    def __hash__(self):
-        return hash(("quadratic", self.p, self.f0, self.f1))
+    order = property(lambda self: self.p * self.p)
 
     def _canon(self, v):
         if isinstance(v, int):
@@ -638,20 +635,14 @@ class QuadraticExtension(FieldDescriptor):
         return f"Fp2:{self.p},{poly}"
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class Rationals(FieldDescriptor):
     """The rational numbers; elements are reduced Fractions."""
 
-    kind = "rationals"
-    __slots__ = ()
     _zero = Fraction(0)
     characteristic = 0
     order = None
-
-    def __eq__(self, other):
-        return isinstance(other, Rationals)
-
-    def __hash__(self):
-        return hash("rationals")
+    _exact = staticmethod(lambda value: value)
 
     def _canon(self, v):
         return Fraction(v)

@@ -18,6 +18,7 @@ decode accepts no other bytes.
 """
 
 import dataclasses
+import functools
 import random
 from fractions import Fraction
 
@@ -37,6 +38,7 @@ DEFAULT_EXPONENT_CAP = 64  # small: over Q coordinate digits grow linearly with 
 _DLOG_CAP = 10**7  # brute_force_dlog's most steps: 2.5 s at 0.24 s per 10**6 (Intel Xeon, Python 3.11)
 
 
+@dataclasses.dataclass(frozen=True)
 class ProtocolParams:
     """Public parameters: the circle, a validated base point, exponent cap.
 
@@ -45,29 +47,25 @@ class ProtocolParams:
     out the four cyclic axis points.  `exponent_cap` (default 64) bounds
     the private exponents drawn over Q, where coordinate digit counts
     grow linearly with the exponent; there it must exceed 2, the least
-    exponent drawn.
+    exponent drawn.  `order` is the base's order, None over Q.
     """
 
-    def __init__(self, base: RotationElement, exponent_cap: int = DEFAULT_EXPONENT_CAP):
-        field = base.field
+    base: RotationElement
+    exponent_cap: int = DEFAULT_EXPONENT_CAP
+    order: int | None = dataclasses.field(init=False)
+
+    def __post_init__(self):
+        field = self.base.field
         if not isinstance(field, (PrimeField, Rationals)):
             raise WrongFieldKind("key exchange runs over prime fields or Q")
-        if field.is_finite():
-            order = element_order(base)
-            if order <= 4:
-                raise DegenerateBasePoint(f"base point order {order} <= 4")
-            self.order = order
-        else:
-            if exponent_cap <= 2:
-                raise ValueError(f"exponent_cap must exceed 2 over Q, got {exponent_cap}")
-            report = classify_cyclicity(base)
-            if report.verdict != "acyclic":
-                raise DegenerateBasePoint(
-                    f"cyclic base point of order {report.order} over Q"
-                )
-            self.order = None
-        self.base = base
-        self.exponent_cap = exponent_cap
+        order = element_order(self.base) if field.is_finite() else None
+        if order is not None and order <= 4:
+            raise DegenerateBasePoint(f"base point order {order} <= 4")
+        if order is None and self.exponent_cap <= 2:
+            raise ValueError(f"exponent_cap must exceed 2 over Q, got {self.exponent_cap}")
+        if order is None and (report := classify_cyclicity(self.base)).verdict != "acyclic":
+            raise DegenerateBasePoint(f"cyclic base point of order {report.order} over Q")
+        object.__setattr__(self, "order", order)
 
     @property
     def circle(self) -> Circle:
@@ -281,9 +279,19 @@ def _read_descriptor(r: _Reader):
     if kind not in (_KIND_PRIME, _KIND_QUADRATIC):
         raise MalformedMessage(f"unknown field kind tag {kind}")
     p = r.uint()
-    f = (r.uint(), r.uint()) if kind == _KIND_QUADRATIC else None
+    f0, f1 = (r.uint(), r.uint()) if kind == _KIND_QUADRATIC else (0, 0)
+    return _wire_descriptor(kind, p, f0, f1)
+
+
+@functools.lru_cache(maxsize=64)
+def _wire_descriptor(kind: int, p: int, f0: int, f1: int):
+    """The finite field a message names, built and checked once per distinct wire values.
+
+    Messages over one field share its descriptor, which is safe only because
+    descriptors are frozen.  A bad p or modulus raises, and caches nothing.
+    """
     try:
-        return PrimeField(p) if f is None else QuadraticExtension(p, f)
+        return PrimeField(p) if kind == _KIND_PRIME else QuadraticExtension(p, (f0, f1))
     except ValueError as exc:  # composite p or reducible modulus
         raise MalformedMessage(f"bad field descriptor: {exc}") from None
 

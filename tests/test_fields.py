@@ -87,6 +87,24 @@ def test_descriptor_construction_rejects_bad_input():
     assert accepted == [(1, 1)]
 
 
+def test_finite_fields_refuse_non_integers():
+    # a finite field is named and its elements given by integers only; a
+    # float or Fraction is refused, not truncated (bools are integers)
+    refused = [
+        lambda: F7(Fraction(1, 2)),
+        lambda: F7(2.5),
+        lambda: QuadraticExtension(7, (1.5, 0)),
+        lambda: PrimeField(7.5),
+        lambda: F49(2.5),
+        lambda: F49((1, Fraction(1, 2))),
+    ]
+    for build in refused:
+        with pytest.raises(TypeError):
+            build()
+    assert F7(True) == F7(1) and F49((True, 3)) == F49((1, 3))
+    assert Q(2.5) == Q(Fraction(5, 2))  # Q is unchanged: a float is exact there
+
+
 def test_modulus_size_cap(monkeypatch, capsys):
     # past 4096 bits a modulus is refused before any primality test runs
     from circlering import fields, keyex
@@ -296,16 +314,17 @@ def test_extension_roots_come_from_prime_roots(monkeypatch):
         assert calls and all(type(p) is int and p == field.characteristic for p in calls)
 
 
-def test_non_square_found_once_per_field():
+def test_non_square_found_once_per_field(monkeypatch):
     # Tonelli-Shanks needs a non-square; two roots in one field search
-    # for it once.  The least non-square of F_73 is 5.
+    # for it once.  The least non-square of F_73 is 5.  A frozen field
+    # takes no attribute, so the square test is recorded on its class.
     cases = (
         (PrimeField(73), (6, 7), [36, 2, 3, 4, 5, 49]),
     )
     for field, roots, expected in cases:
         tested = []
-        is_square = field._is_square
-        field._is_square = lambda a: tested.append(a) or is_square(a)
+        is_square = PrimeField._is_square
+        monkeypatch.setattr(PrimeField, "_is_square", lambda self, a: tested.append(a) or is_square(self, a))
         for v in roots:
             root = (field(v) * field(v)).sqrt()
             assert root in (field(v), -field(v))

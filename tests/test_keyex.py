@@ -12,7 +12,8 @@ from circlering.errors import (
     VersionMismatch,
     WrongFieldKind,
 )
-from circlering.fields import PrimeField, QuadraticExtension, Rationals
+from circlering import fields, keyex
+from circlering.fields import PrimeField, QuadraticExtension, Rationals, is_prime, primes_up_to
 from circlering.keyex import (
     ProtocolParams,
     Transcript,
@@ -259,6 +260,36 @@ def test_wire_errors():
     for descriptor in (b"\x00" + _uint(15), b"\x01" + _uint(7) + _uint(6) + _uint(0)):
         with pytest.raises(MalformedMessage):
             decode(element + descriptor + _uint(1))
+
+
+def test_decode_builds_each_field_once(monkeypatch):
+    # two transcripts over F_999999999989 test p for primality once; the
+    # descriptor is kept by the bounded cache, shared by both messages
+    field = PrimeField(999999999989)
+    base = rotation_element(circle(field, (0, 0), 1), 799999999992, 599999999994)
+    params = ProtocolParams(base)
+    bufs = [encode(simulate_exchange(params, seed, seed + 1)) for seed in (1, 2)]
+    tested = []
+    monkeypatch.setattr(fields, "is_prime", lambda n: tested.append(n) or is_prime(n))
+    keyex._wire_descriptor.cache_clear()
+    decoded = [decode(buf) for buf in bufs]
+    assert tested == [999999999989]
+    assert decoded[0].base.field is decoded[1].base.field == field
+    # a composite p is refused each time it is read: a failure is not cached
+    composite = b"CRC1\x01\x01\x00" + _uint(15) + _uint(1)
+    for _ in range(2):
+        with pytest.raises(MalformedMessage):
+            decode(composite)
+    assert tested == [999999999989, 15, 15]
+
+
+def test_decode_cache_stays_within_its_bound():
+    bound = keyex._wire_descriptor.cache_info().maxsize
+    primes = primes_up_to(104729)
+    assert len(primes) == 10**4
+    for p in primes:
+        decode(b"CRC1\x01\x01\x00" + _uint(p) + _uint(1))
+        assert keyex._wire_descriptor.cache_info().currsize <= bound
 
 
 def _uint(n: int) -> bytes:

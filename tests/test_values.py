@@ -1,4 +1,8 @@
-"""Value semantics of the library's objects: equality, hashing, immutability, pickling."""
+"""Value semantics of the library's objects: equality, hashing, immutability, pickling.
+
+The field descriptors under every value, and the key exchange's
+parameters, are covered too.
+"""
 
 import copy
 import pickle
@@ -7,9 +11,10 @@ from fractions import Fraction
 import pytest
 
 from circlering.fields import PrimeField, QuadraticExtension, Rationals
+from circlering.keyex import ProtocolParams
 from circlering.maximal import CircularPointSet, SetStatus, grow_maximal_set
 from circlering.plane import AT_INFINITY, circle, point, point_from_parameter
-from circlering.rotation import RotationElement
+from circlering.rotation import RotationElement, rotation_element
 
 DESCRIPTORS = {
     "F_7": lambda: PrimeField(7),
@@ -100,3 +105,58 @@ def test_set_equality_ignores_status_and_prefix(name):
     for other in others:
         assert other == grown and hash(other) == hash(grown)
     assert others[0].status is SetStatus.UNCLASSIFIED and grown.status is SetStatus.C_MAXIMAL
+
+
+# the attributes of each descriptor that are its fields, and the element
+# (the generator a over F_49) whose square checks the arithmetic
+DESCRIPTOR_FIELDS = {"F_7": ("p",), "F_49": ("p", "f0", "f1"), "Q": ()}
+GENERATOR = {"F_7": 3, "F_49": (0, 1), "Q": Fraction(1, 2)}
+
+
+@pytest.mark.parametrize("name", DESCRIPTORS)
+def test_descriptors_compare_and_hash_equal(name):
+    a, b = DESCRIPTORS[name](), DESCRIPTORS[name]()
+    assert a is not b
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != DESCRIPTORS[next(other for other in DESCRIPTORS if other != name)]()
+
+
+@pytest.mark.parametrize("name", DESCRIPTORS)
+def test_descriptors_refuse_assignment(name):
+    field = DESCRIPTORS[name]()
+    held = {field}
+    g = field(GENERATOR[name])
+    before = (str(field), field.characteristic, field.order, g * g)
+    for attr in DESCRIPTOR_FIELDS[name]:
+        with pytest.raises(AttributeError):
+            setattr(field, attr, 11)
+    # names that are not fields: CPython's frozen slotted dataclasses raise TypeError
+    for attr in ("characteristic", "order", "extra"):
+        with pytest.raises((AttributeError, TypeError)):
+            setattr(field, attr, 11)
+    assert not hasattr(field, "extra")
+    assert (str(field), field.characteristic, field.order, g * g) == before
+    # a set built before the attempts still finds the field, and its equal
+    assert field in held and DESCRIPTORS[name]() in held
+
+
+@pytest.mark.parametrize("name", DESCRIPTORS)
+def test_descriptors_pickle_and_deepcopy(name):
+    field = DESCRIPTORS[name]()
+    for back in (pickle.loads(pickle.dumps(field)), copy.deepcopy(field)):
+        assert type(back) is type(field)
+        assert back == field and hash(back) == hash(field)
+        assert str(back) == str(field) and back.order == field.order
+        g = back(GENERATOR[name])
+        assert g * g == field(GENERATOR[name]) ** 2
+
+
+def test_protocol_params_refuse_assignment():
+    f13 = PrimeField(13)
+    params = ProtocolParams(rotation_element(circle(f13, (0, 0), 1), 2, 6))
+    for attr in ("base", "exponent_cap", "order", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(params, attr, None)
+    assert params.order == 12 and params.exponent_cap == 64 and not hasattr(params, "extra")
+    back = pickle.loads(pickle.dumps(params))
+    assert back == params and hash(back) == hash(params)
