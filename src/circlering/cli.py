@@ -54,13 +54,13 @@ def _parse_circle(args) -> Circle:
 
 
 def _point_json(p: PlanePoint) -> dict:
-    return {"x": str(p.x), "y": str(p.y)}
+    return dict(zip("xy", p._coords()))
 
 
 def _circle_json(c: Circle) -> dict:
     return {
         "field": c.field.to_text(),
-        "center": [str(c.center.x), str(c.center.y)],
+        "center": list(c.center._coords()),
         "radius": str(c.radius),
     }
 

@@ -693,7 +693,7 @@ def contains_sqrt_minus_one(field: FieldDescriptor) -> bool:
     the classical criterion |F| = 3 (mod 4) <=> no root, where fields of
     characteristic 2 fall on the "root exists" side because -1 = 1.
     """
-    return field(-1).is_square()
+    return field._is_square(field._canon(-1))
 
 
 def parse_descriptor(text: str) -> FieldDescriptor:

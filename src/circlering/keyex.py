@@ -31,7 +31,7 @@ from .errors import (
     WrongFieldKind,
 )
 from .fields import FieldElement, PrimeField, QuadraticExtension, Rationals
-from .plane import Circle, PlanePoint
+from .plane import Circle, _point
 from .rotation import RotationElement, classify_cyclicity, element_order, rot_pow
 
 DEFAULT_EXPONENT_CAP = 64  # small: over Q coordinate digits grow linearly with the exponent product
@@ -76,17 +76,15 @@ class ProtocolParams:
         return self.base.field
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class PartyState:
-    """One participant: role label, private exponent, and what they see."""
+    """One participant: the private exponent and the share sent."""
 
-    role: str
     exponent: int
     sent: RotationElement
-    shared: RotationElement | None = None
 
 
-def keygen(params: ProtocolParams, rng_seed: int, role: str = "A") -> PartyState:
+def keygen(params: ProtocolParams, rng_seed: int) -> PartyState:
     """Draw a private exponent from a seeded RNG and compute the share.
 
     Deterministic per seed.  Over F_p the exponent is uniform on
@@ -95,15 +93,14 @@ def keygen(params: ProtocolParams, rng_seed: int, role: str = "A") -> PartyState
     rng = random.Random(rng_seed)
     upper = params.order if params.order is not None else params.exponent_cap
     exponent = rng.randrange(2, upper)
-    return PartyState(role=role, exponent=exponent, sent=rot_pow(params.base, exponent))
+    return PartyState(exponent=exponent, sent=rot_pow(params.base, exponent))
 
 
 def derive_shared(me: PartyState, peer_sent: RotationElement) -> RotationElement:
-    """Raise the peer's share to the private exponent; record and return it."""
+    """The shared secret: the peer's share raised to the private exponent."""
     if peer_sent.circle != me.sent.circle:
         raise CircleMismatch("peer share lives on a different circle")
-    me.shared = rot_pow(peer_sent, me.exponent)
-    return me.shared
+    return rot_pow(peer_sent, me.exponent)
 
 
 def brute_force_dlog(base: RotationElement, target: RotationElement, cap: int) -> int | None:
@@ -164,8 +161,8 @@ def simulate_exchange(
     dlog_cap > 0 (finite fields only) the eavesdropper's brute-force
     recovery of A's exponent is attempted for that many iterations.
     """
-    a = keygen(params, seed_a, "A")
-    b = keygen(params, seed_b, "B")
+    a = keygen(params, seed_a)
+    b = keygen(params, seed_b)
     shared_a = derive_shared(a, b.sent)
     shared_b = derive_shared(b, a.sent)
     dlog = None
@@ -236,8 +233,8 @@ def encode(obj) -> bytes:
     out += _pack_descriptor(field)
     out += _pack_value(field, value)
     for e in elements:
-        out += _pack_value(field, e.point.x.value)
-        out += _pack_value(field, e.point.y.value)
+        for v in e.point._xy:
+            out += _pack_value(field, v)
     if tag == _TAG_TRANSCRIPT:
         out.append(obj.equal)
     return bytes(out)
@@ -297,11 +294,11 @@ def _wire_descriptor(kind: int, p: int, f0: int, f1: int):
 
 
 def _read_value(r: _Reader, field):
+    """One raw value of `field`, reduced; decode's re-encode refuses an unreduced one."""
     if isinstance(field, PrimeField):
-        return field(r.uint())
+        return field._canon(r.uint())
     if isinstance(field, QuadraticExtension):
-        c0 = r.uint()
-        return field((c0, r.uint()))
+        return field._canon((r.uint(), r.uint()))  # c0, then c1
     sign = r.byte()
     if sign not in (0, 1):
         raise MalformedMessage(f"bad sign byte {sign}")
@@ -309,7 +306,7 @@ def _read_value(r: _Reader, field):
     den = r.uint()
     if den == 0:
         raise MalformedMessage("zero denominator")
-    return field(Fraction(-num if sign else num, den))
+    return Fraction(-num if sign else num, den)
 
 
 def decode(buf: bytes):
@@ -345,14 +342,14 @@ def _parse(buf: bytes):
     if points is None:
         raise MalformedMessage(f"unknown message tag {tag}")
     field = _read_descriptor(r)
-    value = _read_value(r, field)
+    value = FieldElement(field, _read_value(r, field))
     coords = [_read_value(r, field) for _ in range(2 * points)]
     if tag == _TAG_TRANSCRIPT:
         r.byte()  # `equal` is derived from the shares; the re-encode checks this byte
     r.done()
     if not points:
         return value
-    circle = Circle(PlanePoint(field.zero, field.zero), value)
+    circle = Circle(_point(field, (field._zero, field._zero)), value)
     xy = iter(coords)
-    elements = (RotationElement(circle, PlanePoint(x, y)) for x, y in zip(xy, xy))
+    elements = (RotationElement(circle, _point(field, pair)) for pair in zip(xy, xy))
     return next(elements) if points == 1 else Transcript(*elements)

@@ -40,10 +40,9 @@ from .plane import (
     PlanePoint,
     PointAtInfinityMarker,
     _point,
-    _points,
     _positive_rationals,
-    _raw,
     _raw_circle_points,
+    _raw_marker,
     _raw_squared_distance,
     enumerate_circle,
     point_from_parameter,
@@ -84,12 +83,10 @@ class CircularPointSet:
         for p in pts:
             circle.require(p)
         field = circle.field
-        raw = [_raw(p) for p in pts]
-        anchors = raw if isinstance(field, QuadraticExtension) else raw[:1]
-        for i, a in enumerate(anchors):
-            for j in range(i + 1, len(raw)):
-                if not _rational(field, a, raw[j]):
-                    p, q = pts[i], pts[j]
+        anchors = pts if isinstance(field, QuadraticExtension) else pts[:1]
+        for i, p in enumerate(anchors):
+            for q in pts[i + 1 :]:
+                if not _rational(field, p._xy, q._xy):
                     raise ValueError(
                         f"non-rational distance {squared_distance(p, q)} between {p} and {q}"
                     )
@@ -107,7 +104,7 @@ class CircularPointSet:
     def distance_values(self) -> set:
         """All pairwise squared distances occurring inside the set."""
         field = self.circle.field
-        raw = [_raw(p) for p in self.points]
+        raw = [p._xy for p in self.points]
         values = {
             _raw_squared_distance(field, a, b) for i, a in enumerate(raw) for b in raw[i + 1 :]
         }
@@ -158,7 +155,7 @@ def is_rational_distance(c: Circle, p: PlanePoint, q: PlanePoint) -> bool:
     """Whether two circle points have rational squared distance."""
     c.require(p)
     c.require(q)
-    return _rational(c.field, _raw(p), _raw(q))
+    return _rational(c.field, p._xy, q._xy)
 
 
 def partition_prime_field_circle(c: Circle):
@@ -173,14 +170,15 @@ def partition_prime_field_circle(c: Circle):
     if not isinstance(field, PrimeField) or field.characteristic == 2:
         raise WrongFieldKind("partition needs a finite prime field of odd characteristic")
     return tuple(
-        CircularPointSet(c, _points(field, cls), SetStatus.C_MAXIMAL) for cls in _raw_partition(c)
+        CircularPointSet(c, [_point(field, xy) for xy in cls], SetStatus.C_MAXIMAL)
+        for cls in _raw_partition(c)
     )
 
 
 def _raw_partition(c: Circle) -> tuple[list, list]:
     """partition_prime_field_circle on raw pairs, each class in sorted order (odd F_p only)."""
     field = c.field
-    marker = _raw(point_from_parameter(c, AT_INFINITY))
+    marker = _raw_marker(c)
     first, second = [], []
     for xy in _raw_circle_points(c):
         (second if _rational(field, marker, xy) else first).append(xy)
@@ -249,7 +247,7 @@ def _rotations(c: Circle, base: tuple):
     r = c.radius.value
     inv_2r = mul(add(r, r), field._inv(_four_r2(c)))
     inv_r = add(inv_2r, inv_2r)
-    (b1, b2), (m1, m2) = base, _raw(c.center)
+    (b1, b2), (m1, m2) = base, c.center._xy
     u1, u2 = mul(sub(b1, m1), inv_r), mul(sub(b2, m2), inv_r)
 
     def at(q):
@@ -289,7 +287,7 @@ def _witnesses(c: Circle):
     a finite field; off the origin and over Q it may not.
     """
     field = c.field
-    (m1, m2), r = _raw(c.center), c.radius.value
+    (m1, m2), r = c.center._xy, c.radius.value
     a = (field._add(m1, r), m2)
     at_a = _rotations(c, a)
     point_a = _point(field, a)
@@ -299,7 +297,7 @@ def _witnesses(c: Circle):
         pts = _points_at_distance(c, at_a, a, q)
         if len(pts) == 1:  # q = 4r^2
             pts.append(_points_at_distance(c, at_a, a, _first_other_perfect(c))[0])
-            if not _rational(field, _raw(pts[0]), _raw(pts[1])):
+            if not _rational(field, pts[0]._xy, pts[1]._xy):
                 raise AssertionError(f"antipode triangle through {pts[1]} is not rational")
         return (point_a, *pts)
 
@@ -392,7 +390,7 @@ def perfect_distances(c: Circle) -> dict:
         raise InfiniteField("use iter_perfect_distances over Q")
     p = c.field.characteristic
     if p > _ENUMERATION_CAP:
-        raise CircleTooLarge(f"{p - 1} parameters exceed the cap {_ENUMERATION_CAP}")
+        raise CircleTooLarge(f"the characteristic {p} exceeds the cap {_ENUMERATION_CAP}")
     return dict(iter_perfect_distances(c))
 
 
@@ -452,7 +450,7 @@ def points_at_distance(c: Circle, base: PlanePoint, q) -> list[PlanePoint]:
     c.require(base)
     if q.is_zero() or not _acp(c, q.value):
         raise NotPerfect(f"{_brief(q)} is not realizable as a perfect distance on {_brief(c)}")
-    raw = _raw(base)
+    raw = base._xy
     return _points_at_distance(c, _rotations(c, raw), raw, q.value)
 
 
@@ -464,11 +462,10 @@ def _points_at_distance(c: Circle, at, base: tuple, q) -> list[PlanePoint]:
     on the circle at squared distance q from the base.
     """
     field = c.field
-    raw = sorted(set(at(q)))
-    out = [_point(field, xy) for xy in raw]
-    for p, xy in zip(out, raw):
+    out = [_point(field, xy) for xy in sorted(set(at(q)))]
+    for p in out:
         c.require(p)
-        d = _raw_squared_distance(field, base, xy)
+        d = _raw_squared_distance(field, base, p._xy)
         if d != q:
             raise AssertionError(
                 f"{p} is at {FieldElement(field, d)}, not {FieldElement(field, q)}, "
@@ -488,7 +485,7 @@ def iter_maximal_points(c: Circle, seed: PlanePoint):
     """
     c.require(seed)
     yield seed
-    base = _raw(seed)
+    base = seed._xy
     at = _rotations(c, base)
     for q in _perfect_values(c):
         yield from _points_at_distance(c, at, base, q)
@@ -520,10 +517,11 @@ def grow_maximal_set(c: Circle, seed: PlanePoint, prefix: int = 64) -> CircularP
         return CircularPointSet(c, pts, SetStatus.C_MAXIMAL, is_prefix=True)
     p = field.characteristic
     if p > _ENUMERATION_CAP:
-        raise CircleTooLarge(f"{p - 1} parameters exceed the cap {_ENUMERATION_CAP}")
-    pts = list(iter_maximal_points(c, seed)) if (c.radius * c.radius).in_prime_subfield() else [seed]
+        raise CircleTooLarge(f"the characteristic {p} exceeds the cap {_ENUMERATION_CAP}")
+    r = c.radius.value
+    pts = list(iter_maximal_points(c, seed)) if field._in_prime_subfield(field._mul(r, r)) else [seed]
     if len(pts) == 1:  # no perfect distance: the least rational partner, if any
-        base = _raw(seed)
+        base = seed._xy
         at = _rotations(c, base)
         least = min(_rational_neighbours(c, at), default=None)
         if least:  # the least partner is the lesser point at its q, checked there
@@ -596,7 +594,7 @@ def enumerate_emaximal_sets(c: Circle, seed: PlanePoint):
     if p == 2:
         return [grow_maximal_set(c, seed)]
     c.require(seed)
-    s = _raw(seed)
+    s = seed._xy
     nbrs = sorted({xy for xy, _ in _rational_neighbours(c, _rotations(c, s))})
     cliques = [
         sorted([s, *(xy for i, xy in enumerate(nbrs) if mask >> i & 1)])
@@ -605,7 +603,7 @@ def enumerate_emaximal_sets(c: Circle, seed: PlanePoint):
     cliques.sort(key=lambda ms: (-len(ms), ms))
     best = len(cliques[0])  # the seed alone is a clique when it has no neighbour
     return [
-        CircularPointSet(c, _points(field, ms),
+        CircularPointSet(c, [_point(field, xy) for xy in ms],
                          SetStatus.C_MAXIMAL if len(ms) == best else SetStatus.E_MAXIMAL)
         for ms in cliques
     ]
@@ -624,10 +622,8 @@ def cmaximal_cardinality(field: FieldDescriptor, r) -> CardinalityAnswer:
     partner; past the enumeration cap (characteristic above 10^6) the
     witness is not looked for and is None.
     """
-    r = field(r)
-    if r.is_zero():
-        raise ValueError("radius must be nonzero")
-    char = field.characteristic
+    c = Circle(PlanePoint(field.zero, field.zero), field(r))  # ZeroRadius for r = 0
+    r, char = c.radius, field.characteristic
     if char == 2:
         return CardinalityAnswer("finite", field.order)
     if char == 0:
@@ -636,7 +632,6 @@ def cmaximal_cardinality(field: FieldDescriptor, r) -> CardinalityAnswer:
     if not r2.in_prime_subfield():
         witness = None
         if char <= _ENUMERATION_CAP:
-            c = Circle(PlanePoint(field.zero, field.zero), r)
             marker = point_from_parameter(c, AT_INFINITY)
             partner = [pt for pt in grow_maximal_set(c, marker) if pt != marker]
             witness = (marker, *partner) if partner else None

@@ -4,9 +4,13 @@ Points, circles, squared distances, translations, and the rational
 parametrization of circle points with its cardinality formula.
 Rotations are the rotation group's products (`rotation`): on
 C((0,0), r) the element (x, y) multiplies a point by (x + iy)/r.
+
+A point stores its field and one raw coordinate pair; the library
+computes on that pair, and a coordinate's FieldElement is built only
+when `x` or `y` is read.
 """
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from itertools import count
 
@@ -38,20 +42,39 @@ class PointAtInfinityMarker:
 AT_INFINITY = PointAtInfinityMarker()
 
 
-@dataclass(frozen=True, slots=True)
 class PlanePoint:
-    """A point of the affine plane F x F."""
+    """A point of the affine plane F x F: its field and one raw pair (x, y).
 
-    x: FieldElement
-    y: FieldElement
+    PlanePoint(x, y) takes two elements of one field; the library wraps
+    raw pairs it has computed with _point.  Points are immutable,
+    picklable, and equal exactly when their fields and raw pairs are.
+    """
 
-    def __post_init__(self):
-        if self.x.field is not self.y.field and self.x.field != self.y.field:
+    __slots__ = ("field", "_xy")
+
+    def __new__(cls, x: FieldElement, y: FieldElement):
+        if x.field is not y.field and x.field != y.field:
             raise DescriptorMismatch("point coordinates from different fields")
+        return _point(x.field, (x.value, y.value))
 
-    @property
-    def field(self) -> FieldDescriptor:
-        return self.x.field
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return _point, (self.field, self._xy)
+
+    x = property(lambda self: FieldElement(self.field, self._xy[0]))
+    y = property(lambda self: FieldElement(self.field, self._xy[1]))
+
+    def __eq__(self, other):
+        if type(other) is not PlanePoint:
+            return NotImplemented
+        return self._xy == other._xy and self.field == other.field
+
+    def __hash__(self):
+        return hash(self._xy)  # equal points have equal pairs
 
     def __add__(self, other: "PlanePoint") -> "PlanePoint":
         return PlanePoint(self.x + other.x, self.y + other.y)
@@ -60,13 +83,33 @@ class PlanePoint:
         return PlanePoint(self.x - other.x, self.y - other.y)
 
     def sort_key(self):
-        return (self.x.sort_key(), self.y.sort_key())
+        return self._xy
+
+    def _coords(self, digits=str) -> tuple:
+        """The texts of x and y, with `digits` as the text of each integer."""
+        fmt, (x, y) = self.field._format, self._xy
+        return fmt(x, digits), fmt(y, digits)
 
     def _text(self, digits=str) -> str:
-        return f"({self.x._text(digits)},{self.y._text(digits)})"
+        return "({},{})".format(*self._coords(digits))
 
     def __str__(self):
         return self._text()
+
+    def __repr__(self):
+        return f"PlanePoint(x={self.x!r}, y={self.y!r})"
+
+
+# the slots' own setters, which PlanePoint.__setattr__ does not guard
+_new_point, _set_field, _set_xy = object.__new__, PlanePoint.field.__set__, PlanePoint._xy.__set__
+
+
+def _point(field: FieldDescriptor, xy: tuple) -> PlanePoint:
+    """The point of `field` with the raw coordinate pair `xy`, unchecked."""
+    p = _new_point(PlanePoint)
+    _set_field(p, field)
+    _set_xy(p, xy)
+    return p
 
 
 def point(field: FieldDescriptor, x, y) -> PlanePoint:
@@ -97,7 +140,7 @@ class Circle:
         if p.field != field:
             raise DescriptorMismatch(f"point over {p.field} tested against a circle over {field}")
         r = self.radius.value
-        return _raw_squared_distance(field, _raw(p), _raw(self.center)) == field._mul(r, r)
+        return _raw_squared_distance(field, p._xy, self.center._xy) == field._mul(r, r)
 
     def require(self, p: PlanePoint) -> None:
         if not self.contains(p):
@@ -116,27 +159,6 @@ def circle(field: FieldDescriptor, center, radius) -> Circle:
     return Circle(point(field, cx, cy), field(radius))
 
 
-def _raw(p: PlanePoint) -> tuple:
-    """The raw coordinate pair (x, y) of a point."""
-    return p.x.value, p.y.value
-
-
-def _point(field: FieldDescriptor, raw: tuple) -> PlanePoint:
-    """Wrap a raw coordinate pair of `field` as a PlanePoint."""
-    x, y = raw
-    return PlanePoint(FieldElement(field, x), FieldElement(field, y))
-
-
-def _points(field: FieldDescriptor, raw: list[tuple]) -> list[PlanePoint]:
-    """Wrap raw coordinate pairs of `field`, building one FieldElement per distinct value.
-
-    On a circle a coordinate value occurs on up to two points, so this
-    wraps about half as many elements as wrapping each point alone.
-    """
-    elements = {v: FieldElement(field, v) for v in {v for xy in raw for v in xy}}
-    return [PlanePoint(elements[x], elements[y]) for x, y in raw]
-
-
 def _raw_squared_distance(field: FieldDescriptor, a: tuple, b: tuple):
     """(a1-b1)^2 + (a2-b2)^2 for raw coordinate pairs of `field`, as a raw value."""
     sub, mul = field._sub, field._mul
@@ -150,7 +172,7 @@ def squared_distance(p: PlanePoint, q: PlanePoint) -> FieldElement:
     field = p.field
     if q.field != field:
         raise DescriptorMismatch("points from different fields")
-    return FieldElement(field, _raw_squared_distance(field, _raw(p), _raw(q)))
+    return FieldElement(field, _raw_squared_distance(field, p._xy, q._xy))
 
 
 def circle_cardinality(field: FieldDescriptor) -> int:
@@ -174,7 +196,7 @@ def _raw_parametrization(c: Circle):
     """
     field = c.field
     add, sub, mul, inv = field._add, field._sub, field._mul, field._inv
-    (m1, m2), r = _raw(c.center), c.radius.value
+    (m1, m2), r = c.center._xy, c.radius.value
     if field.characteristic == 2:
         return lambda t: (add(m1, t), add(add(m2, t), r))
     zero, one = field._zero, field._canon(1)
@@ -192,6 +214,12 @@ def _raw_parametrization(c: Circle):
     return point_of
 
 
+def _raw_marker(c: Circle) -> tuple:
+    """The raw pair of the marker point (m1, m2 + r), the point of AT_INFINITY."""
+    m1, m2 = c.center._xy
+    return m1, c.field._add(m2, c.radius.value)
+
+
 def point_from_parameter(c: Circle, t) -> PlanePoint:
     """The circle point named by the parameter t (or AT_INFINITY).
 
@@ -206,7 +234,7 @@ def point_from_parameter(c: Circle, t) -> PlanePoint:
     """
     field = c.field
     if isinstance(t, PointAtInfinityMarker):
-        return PlanePoint(c.center.x, c.center.y + c.radius)
+        return _point(field, _raw_marker(c))
     t = field(t)
     raw = _raw_parametrization(c)(t.value)
     if raw is None:
@@ -237,7 +265,7 @@ def _raw_circle_points(c: Circle) -> list[tuple]:
         raise CircleTooLarge(f"{expected} circle points exceed the cap {_ENUMERATION_CAP}")
     point_of = _raw_parametrization(c)
     neg, sub = field._neg, field._sub
-    m1, m2 = _raw(c.center)
+    m1 = c.center._xy[0]
     two_m1 = field._add(m1, m1)
     pts = []
     for t in field._raw_elements():
@@ -252,7 +280,7 @@ def _raw_circle_points(c: Circle) -> list[tuple]:
             # the point of -t is the mirror image of the point of t in the line x = m1
             pts.append((sub(two_m1, xy[0]), xy[1]))
     if field.characteristic != 2:
-        pts.append((m1, field._add(m2, c.radius.value)))  # the marker
+        pts.append(_raw_marker(c))
     # finite fields sort elements by their raw values (PlanePoint.sort_key)
     pts.sort()
     if len(pts) != expected or len(set(pts)) != expected:
@@ -270,7 +298,8 @@ def enumerate_circle(c: Circle) -> list[PlanePoint]:
     PlanePoints once.  Circles of more than 10^6 points raise
     CircleTooLarge before any point is computed.
     """
-    return _points(c.field, _raw_circle_points(c))
+    field = c.field
+    return [_point(field, xy) for xy in _raw_circle_points(c)]
 
 
 def _positive_rationals():

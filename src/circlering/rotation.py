@@ -55,8 +55,8 @@ from .plane import (
     Circle,
     PlanePoint,
     _point,
-    _raw,
     circle_cardinality,
+    point,
     squared_distance,
 )
 
@@ -70,7 +70,7 @@ class RotationElement:
 
     def __post_init__(self):
         zero = self.circle.field._zero
-        if _raw(self.circle.center) != (zero, zero):
+        if self.circle.center._xy != (zero, zero):
             raise ValueError("rotation group lives on circles centered at the origin")
         self.circle.require(self.point)
 
@@ -81,7 +81,7 @@ class RotationElement:
     def _on_torus(self):
         """The circle's torus (see _torus) and this element's value on it."""
         t = _torus(self.field, self.circle.radius.value)
-        return t, t.to_torus(_raw(self.point))
+        return t, t.to_torus(self.point._xy)
 
     def __mul__(self, other):
         return rot_mul(self, other)
@@ -90,10 +90,11 @@ class RotationElement:
         return rot_pow(self, n)
 
     def inverse(self) -> "RotationElement":
-        return RotationElement(self.circle, PlanePoint(self.point.x, -self.point.y))
+        x, y = self.point._xy
+        return RotationElement(self.circle, _point(self.field, (x, self.field._neg(y))))
 
     def is_identity(self) -> bool:
-        return self.point.x == self.circle.radius and self.point.y.is_zero()
+        return self.point._xy == (self.circle.radius.value, self.field._zero)
 
     def __str__(self):
         return str(self.point)
@@ -104,8 +105,7 @@ class RotationElement:
 
 def rotation_element(circle: Circle, x, y) -> RotationElement:
     """Convenience constructor from raw coordinates."""
-    field = circle.field
-    return RotationElement(circle, PlanePoint(field(x), field(y)))
+    return RotationElement(circle, point(circle.field, x, y))
 
 
 def identity_element(circle: Circle) -> RotationElement:
@@ -294,17 +294,12 @@ def _torus(field, r):
     return _GaussianTorus(field, r)
 
 
-def _element(circle: Circle, raw: tuple) -> RotationElement:
-    """Wrap a raw coordinate pair; RotationElement checks it is on the circle."""
-    return RotationElement(circle, _point(circle.field, raw))
-
-
 def rot_mul(a: RotationElement, b: RotationElement) -> RotationElement:
     """The rotation product of two elements of the same circle group."""
     if a.circle != b.circle:
         raise CircleMismatch(f"elements of {_brief(a.circle)} and {_brief(b.circle)}")
     t, u = a._on_torus()
-    return _element(a.circle, t.from_torus(t.mul(u, b._on_torus()[1])))
+    return RotationElement(a.circle, _point(a.field, t.from_torus(t.mul(u, b._on_torus()[1]))))
 
 
 def rot_pow(a: RotationElement, n: int) -> RotationElement:
@@ -317,7 +312,7 @@ def rot_pow(a: RotationElement, n: int) -> RotationElement:
     if not isinstance(n, int) or n < 0:
         raise ValueError("exponent must be a nonnegative integer")
     t, u = a._on_torus()
-    return _element(a.circle, t.from_torus(t.pow(u, n)))
+    return RotationElement(a.circle, _point(a.field, t.from_torus(t.pow(u, n))))
 
 
 def induced_squared_distance(a: RotationElement):
@@ -345,7 +340,7 @@ def rot_sqrt(a: RotationElement) -> RotationElement | None:
     if field.characteristic == 2:
         return None
     mul, inv, r = field._mul, field._inv, a.circle.radius.value
-    a1, a2 = _raw(a.point)
+    a1, a2 = a.point._xy
     half_r = mul(r, inv(field._canon(2)))
     beta2 = mul(half_r, field._sub(r, a1))
     if not field._is_square(beta2):
@@ -356,7 +351,7 @@ def rot_sqrt(a: RotationElement) -> RotationElement | None:
     root = t.to_torus(b)
     if not t.same(t.mul(root, root), target):
         raise AssertionError(f"square-root construction failed for {a}")
-    return _element(a.circle, b)
+    return RotationElement(a.circle, _point(field, b))
 
 
 def _factorize(n: int) -> dict[int, int]:
@@ -410,11 +405,9 @@ def gaussian_norm_square_check(x: int, y: int) -> bool:
 
 def _coprime_integer_form(a: RotationElement) -> tuple[int, int]:
     """Clear denominators of a rational point to a coprime integer pair."""
-    x, y = Fraction(a.point.x.value), Fraction(a.point.y.value)
-    k1 = math.gcd(abs(x.numerator), abs(y.numerator))
-    k2 = math.lcm(x.denominator, y.denominator)
-    ix = (x.numerator // k1) * (k2 // x.denominator)
-    iy = (y.numerator // k1) * (k2 // y.denominator)
+    x, y = a.point._xy
+    k = math.lcm(x.denominator, y.denominator)
+    ix, iy = x.numerator * (k // x.denominator), y.numerator * (k // y.denominator)
     g = math.gcd(ix, iy)
     return ix // g, iy // g
 
@@ -438,11 +431,10 @@ def classify_cyclicity(a: RotationElement) -> CyclicityReport:
     """
     if a.field.is_finite():
         return CyclicityReport(a, "cyclic", order=element_order(a))
-    r = a.circle.radius
-    x, y = a.point.x, a.point.y
-    if y.is_zero():
-        return CyclicityReport(a, "cyclic", order=1 if x == r else 2)
-    if x.is_zero():
+    x, y = a.point._xy
+    if y == 0:
+        return CyclicityReport(a, "cyclic", order=1 if x == a.circle.radius.value else 2)
+    if x == 0:
         return CyclicityReport(a, "cyclic", order=4)
     ix, iy = _coprime_integer_form(a)
     if not gaussian_norm_square_check(ix, iy):

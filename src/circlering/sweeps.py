@@ -20,7 +20,7 @@ from .fields import (
     prime_square_values,
     primes_up_to,
 )
-from .maximal import _raw_partition, cmaximal_cardinality, grow_maximal_set
+from .maximal import _raw_partition, cmaximal_cardinality, grow_maximal_set, is_rational_distance
 from .plane import AT_INFINITY, Circle, PlanePoint, circle, point_from_parameter
 
 
@@ -136,6 +136,8 @@ def table_cell_record(field, radius) -> dict:
 
     The set is grown from the marker, which lies on every circle; the
     rotations act transitively, so its size does not depend on the seed.
+    An "at most two" answer's witness must be a rational pair of the
+    circle, and may be missing only when the grown set has one point.
     """
     answer = cmaximal_cardinality(field, radius)
     c = Circle(PlanePoint(field.zero, field.zero), radius)
@@ -147,7 +149,7 @@ def table_cell_record(field, radius) -> dict:
         expected_text = "<=2"
         checks = {
             "grown_size": len(grown) <= 2,
-            "witness": (answer.witness is not None) == (len(grown) == 2),
+            "witness": len(grown) < 2 if answer.witness is None else _is_rational_pair(c, answer.witness),
         }
     return _with_verdict({
         "field": field.to_text(),
@@ -155,6 +157,11 @@ def table_cell_record(field, radius) -> dict:
         "expected": expected_text,
         "grown": len(grown),
     }, checks)
+
+
+def _is_rational_pair(c: Circle, pair: tuple) -> bool:
+    """Whether `pair` is two distinct points of `c` at rational squared distance."""
+    return pair[0] != pair[1] and all(map(c.contains, pair)) and is_rational_distance(c, *pair)
 
 
 def _with_verdict(record: dict, checks: dict) -> dict:

@@ -9,7 +9,9 @@ import pytest
 import circlering
 from circlering import cli, sweeps
 from circlering.cli import main
-from circlering.maximal import CardinalityAnswer
+from circlering.fields import QuadraticExtension
+from circlering.maximal import CardinalityAnswer, is_rational_distance
+from circlering.plane import circle, enumerate_circle, point
 
 
 def run_cli(capsys, *argv):
@@ -202,6 +204,21 @@ def test_verify_table(capsys):
     code, out, _ = run_cli(capsys, "verify", "table")
     assert code == 0
     assert json.loads(out.strip().splitlines()[-1])["summary"]["mismatches"] == 0
+
+
+def test_table_witness_pair_is_checked(monkeypatch):
+    # F_{7^2} with r = 1 + a: r^2 is outside F_7, so the answer is "at most two" with a witness
+    field = QuadraticExtension(7, (1, 0))
+    r = field((1, 1))
+    c = circle(field, (0, 0), r)
+    marker = sweeps.cmaximal_cardinality(field, r).witness[0]
+    assert "failed" not in sweeps.table_cell_record(field, r)
+    irrational = next(p for p in enumerate_circle(c) if not is_rational_distance(c, marker, p))
+    for bad in ((marker, point(field, 0, 0)), (marker, irrational), (marker, marker), None):
+        monkeypatch.setattr(sweeps, "cmaximal_cardinality",
+                            lambda f, radius, bad=bad: CardinalityAnswer("at_most_two", witness=bad))
+        rec = sweeps.table_cell_record(field, r)
+        assert not rec["match"] and rec["failed"] == ["witness"], (bad, rec)
 
 
 def test_verify_mod4(capsys):

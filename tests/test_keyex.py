@@ -15,6 +15,7 @@ from circlering.errors import (
 from circlering import fields, keyex
 from circlering.fields import PrimeField, QuadraticExtension, Rationals, is_prime, primes_up_to
 from circlering.keyex import (
+    PartyState,
     ProtocolParams,
     Transcript,
     brute_force_dlog,
@@ -84,11 +85,8 @@ def test_keygen_deterministic_and_in_range():
 
 def test_known_exponents_shared_secret():
     # n = 2, m = 3: shared secret (2,6)^6 = (12,0)
-    params = ProtocolParams(BASE13)
-    a = keygen(params, 0, "A")
-    b = keygen(params, 1, "B")
-    a.exponent, a.sent = 2, rot_pow(BASE13, 2)
-    b.exponent, b.sent = 3, rot_pow(BASE13, 3)
+    a = PartyState(exponent=2, sent=rot_pow(BASE13, 2))
+    b = PartyState(exponent=3, sent=rot_pow(BASE13, 3))
     assert a.sent == rotation_element(C13, 7, 11)
     assert b.sent == rotation_element(C13, 0, 12)
     sa = derive_shared(a, b.sent)

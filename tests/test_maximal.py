@@ -13,8 +13,9 @@ from circlering.errors import (
     NotPerfect,
     RadiusSquaredNotInPrimeField,
     WrongFieldKind,
+    ZeroRadius,
 )
-from circlering.fields import PrimeField, QuadraticExtension, Rationals, primes_up_to
+from circlering.fields import FieldElement, PrimeField, QuadraticExtension, Rationals, primes_up_to
 from circlering.maximal import (
     CircularPointSet,
     SetStatus,
@@ -658,6 +659,43 @@ def test_cmaximal_cardinality_tests_no_primality(monkeypatch):
     assert cmaximal_cardinality(f13, 1).n == cmaximal_cardinality(f13, 2).n == 6
     assert cmaximal_cardinality(f169, 1).n == 6
     assert cmaximal_cardinality(f169, (0, 1)).n == 7  # r = a, r^2 = 2 in F_13
+
+
+def test_cmaximal_cardinality_refuses_zero_radius():
+    for field in (PrimeField(7), QuadraticExtension(7, (1, 0)), Rationals()):
+        with pytest.raises(ZeroRadius):
+            cmaximal_cardinality(field, 0)
+
+
+def test_cap_refusals_name_the_characteristic():
+    # the cap bounds the characteristic, which bounds the parameter walk
+    f = PrimeField(1000003)
+    c = circle(f, (0, 0), 1)
+    for build in (perfect_distances, lambda c: grow_maximal_set(c, point(f, 1, 0))):
+        with pytest.raises(CircleTooLarge, match="characteristic 1000003 exceeds the cap 1000000"):
+            build(c)
+
+
+def test_raw_constructions_build_no_field_element(monkeypatch):
+    # enumeration, partition and growth compute on raw pairs and wrap them as points directly
+    f = PrimeField(101)
+    built = []
+    init = FieldElement.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    for center, r in (((0, 0), 1), ((3, 5), 2)):
+        c = circle(f, center, r)
+        seed = point(f, center[0] + r, center[1])
+        monkeypatch.setattr(FieldElement, "__init__", counted)
+        pts = enumerate_circle(c)
+        classes = partition_prime_field_circle(c)
+        grown = grow_maximal_set(c, seed)
+        monkeypatch.undo()
+        assert built == []
+        assert len(pts) == 100 and [len(s) for s in classes] == [50, 50] and len(grown) == 50
 
 
 def test_grow_from_every_seed_matches_table():

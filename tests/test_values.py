@@ -11,10 +11,18 @@ from fractions import Fraction
 import pytest
 
 from circlering.fields import PrimeField, QuadraticExtension, Rationals
-from circlering.keyex import ProtocolParams
+from circlering.keyex import ProtocolParams, decode, encode
 from circlering.maximal import CircularPointSet, SetStatus, grow_maximal_set
-from circlering.plane import AT_INFINITY, circle, point, point_from_parameter
-from circlering.rotation import RotationElement, rotation_element
+from circlering.plane import (
+    AT_INFINITY,
+    PlanePoint,
+    circle,
+    enumerate_circle,
+    enumerate_rational_points,
+    point,
+    point_from_parameter,
+)
+from circlering.rotation import RotationElement, rot_pow, rotation_element
 
 DESCRIPTORS = {
     "F_7": lambda: PrimeField(7),
@@ -22,10 +30,12 @@ DESCRIPTORS = {
     "Q": Rationals,
 }
 RADIUS = {"F_7": 1, "F_49": (0, 1), "Q": Fraction(2)}
+# the construction paths of a point besides point(field, x, y)
+POINT_PATHS = ("point_init", "point_enum", "point_pow", "point_decode")
 # the attributes of each kind of value
 ATTRS = {
     "element": ("field", "value"),
-    "point": ("x", "y"),
+    **{kind: ("field", "x", "y") for kind in ("point", *POINT_PATHS)},
     "circle": ("center", "radius"),
     "rotation": ("circle", "point"),
     "set": ("circle", "points", "status", "is_prefix"),
@@ -37,11 +47,16 @@ def values(name):
     field = DESCRIPTORS[name]()
     c = circle(field, (0, 0), RADIUS[name])
     grown = grow_maximal_set(c, point_from_parameter(c, AT_INFINITY), prefix=6)
+    rotation = RotationElement(c, point_from_parameter(c, 2))
     return {
         "element": field(5),
         "point": point(field, 1, 2),
+        "point_init": PlanePoint(field(1), field(2)),
+        "point_enum": enumerate_circle(c)[1] if field.is_finite() else next(enumerate_rational_points(c)),
+        "point_pow": rot_pow(rotation, 3).point,
+        "point_decode": decode(encode(rotation)).point,
         "circle": c,
-        "rotation": RotationElement(c, point_from_parameter(c, 2)),
+        "rotation": rotation,
         "set": grown,
     }
 
@@ -62,6 +77,8 @@ def test_values_differ_from_plain_ints_and_tuples(kind):
         plain = [5, (1, 2), tuple(getattr(v, attr) for attr in ATTRS[kind])]
         if kind == "element":
             plain.append(v.value)
+        if "x" in ATTRS[kind]:
+            plain.append((v.x.value, v.y.value))
         if kind == "set":
             plain.append(v.points)
         for other in plain:
@@ -92,6 +109,18 @@ def test_values_pickle_and_deepcopy(kind):
             assert type(back) is type(v)
             assert back == v and hash(back) == hash(v), name
             assert str(back) == str(v)
+
+
+@pytest.mark.parametrize("name", DESCRIPTORS)
+def test_points_from_every_path_are_like_point(name):
+    for kind in POINT_PATHS:
+        v = values(name)[kind]
+        twin = point(v.field, v.x.value, v.y.value)
+        for back in (v, pickle.loads(pickle.dumps(v)), copy.deepcopy(v)):
+            assert back == twin and twin == back and hash(back) == hash(twin), (name, kind)
+            assert (back.field, back.x, back.y) == (twin.field, twin.x, twin.y)
+            assert str(back) == str(twin) and repr(back) == repr(twin)
+            assert back.sort_key() == twin.sort_key() and back in {twin}
 
 
 @pytest.mark.parametrize("name", DESCRIPTORS)
