@@ -14,6 +14,7 @@ the closed-form cardinality answer for every field kind and radius case.
 
 import dataclasses
 import enum
+import math
 from fractions import Fraction
 
 from .errors import (
@@ -41,6 +42,7 @@ from .plane import (
     PointAtInfinityMarker,
     _point,
     _positive_rationals,
+    _q_squared_distance,
     _raw_circle_points,
     _raw_marker,
     _raw_squared_distance,
@@ -148,6 +150,10 @@ _CLIQUE_CAP = 2048
 
 def _rational(field: FieldDescriptor, a: tuple, b: tuple) -> bool:
     """The rational-pair relation on raw pairs: the squared distance is a prime-subfield square."""
+    if isinstance(field, Rationals):
+        # N/L^2 is a rational square exactly when the integer N is a square
+        n = _q_squared_distance(a, b)[0]
+        return math.isqrt(n) ** 2 == n
     return field._is_prime_subfield_square(_raw_squared_distance(field, a, b))
 
 
@@ -179,9 +185,11 @@ def _raw_partition(c: Circle) -> tuple[list, list]:
     """partition_prime_field_circle on raw pairs, each class in sorted order (odd F_p only)."""
     field = c.field
     marker = _raw_marker(c)
+    # _rational's finite-field rule, bound once: the loop tests every point of the circle
+    square = field._is_prime_subfield_square
     first, second = [], []
     for xy in _raw_circle_points(c):
-        (second if _rational(field, marker, xy) else first).append(xy)
+        (second if square(_raw_squared_distance(field, marker, xy)) else first).append(xy)
     return first, second
 
 
@@ -465,8 +473,13 @@ def _points_at_distance(c: Circle, at, base: tuple, q) -> list[PlanePoint]:
     out = [_point(field, xy) for xy in sorted(set(at(q)))]
     for p in out:
         c.require(p)
-        d = _raw_squared_distance(field, base, p._xy)
-        if d != q:
+        if isinstance(field, Rationals):
+            n, den = _q_squared_distance(base, p._xy)
+            at_q = n * q.denominator == q.numerator * den * den
+        else:
+            at_q = _raw_squared_distance(field, base, p._xy) == q
+        if not at_q:
+            d = _raw_squared_distance(field, base, p._xy)
             raise AssertionError(
                 f"{p} is at {FieldElement(field, d)}, not {FieldElement(field, q)}, "
                 f"from {_point(field, base)}"

@@ -10,6 +10,7 @@ computes on that pair, and a coordinate's FieldElement is built only
 when `x` or `y` is read.
 """
 
+import math
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from itertools import count
@@ -135,11 +136,19 @@ class Circle:
         return self.radius.field
 
     def contains(self, p: PlanePoint) -> bool:
-        """Whether (x - m1)^2 + (y - m2)^2 = r^2, compared on raw field values."""
+        """Whether (x - m1)^2 + (y - m2)^2 = r^2.
+
+        Compared on raw field values, and over Q as one integer identity
+        (see _q_squared_distance).
+        """
         field = self.field
         if p.field != field:
             raise DescriptorMismatch(f"point over {p.field} tested against a circle over {field}")
         r = self.radius.value
+        if isinstance(field, Rationals):
+            # N/L^2 = (u/v)^2 for r = u/v
+            n, den = _q_squared_distance(p._xy, self.center._xy)
+            return n * r.denominator**2 == (r.numerator * den) ** 2
         return _raw_squared_distance(field, p._xy, self.center._xy) == field._mul(r, r)
 
     def require(self, p: PlanePoint) -> None:
@@ -165,6 +174,21 @@ def _raw_squared_distance(field: FieldDescriptor, a: tuple, b: tuple):
     dx = sub(a[0], b[0])
     dy = sub(a[1], b[1])
     return field._add(mul(dx, dx), mul(dy, dy))
+
+
+def _q_squared_distance(a: tuple, b: tuple) -> tuple[int, int]:
+    """(a1-b1)^2 + (a2-b2)^2 for raw Q pairs as N/L^2, on integers and unreduced: (N, L).
+
+    Each difference x/b - e/f is (x f - e b)/(b f); the two are brought
+    to their least common denominator L, so no Fraction is built and no
+    gcd is taken but the one of those two denominators.
+    """
+    (x1, y1), (x2, y2) = a, b
+    dx_den, dy_den = x1.denominator * x2.denominator, y1.denominator * y2.denominator
+    g = math.gcd(dx_den, dy_den)
+    dx = (x1.numerator * x2.denominator - x2.numerator * x1.denominator) * (dy_den // g)
+    dy = (y1.numerator * y2.denominator - y2.numerator * y1.denominator) * (dx_den // g)
+    return dx * dx + dy * dy, dx_den // g * dy_den
 
 
 def squared_distance(p: PlanePoint, q: PlanePoint) -> FieldElement:

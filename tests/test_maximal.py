@@ -798,20 +798,25 @@ def test_point_set_validation_checks_every_pair_over_extensions():
 
 def test_invariant_checks_survive_optimize():
     # internal invariants are explicit checks, not asserts that -O strips
+    # over Q the distance of each built point is checked on integers
     script = (
         "import sys\n"
+        "from fractions import Fraction\n"
         "import circlering.maximal as m\n"
-        "from circlering.fields import PrimeField\n"
+        "from circlering.fields import PrimeField, Rationals\n"
         "from circlering.plane import circle, point\n"
         "if not sys.flags.optimize:\n"
         "    sys.exit(2)\n"
-        "f = PrimeField(7)\n"
+        "f, q = PrimeField(7), Rationals()\n"
         "m._raw_squared_distance = lambda field, a, b: field._zero\n"
-        "try:\n"
-        "    m.points_at_distance(circle(f, (0, 0), 1), point(f, 0, 1), 2)\n"
-        "except AssertionError:\n"
-        "    sys.exit(0)\n"
-        "sys.exit(1)\n"
+        "m._q_squared_distance = lambda a, b: (0, 1)\n"
+        "for c, base, d in ((circle(f, (0, 0), 1), point(f, 0, 1), 2),\n"
+        "                   (circle(q, (0, 0), 1), point(q, 1, 0), Fraction(36, 25))):\n"
+        "    try:\n"
+        "        m.points_at_distance(c, base, d)\n"
+        "        sys.exit(1)\n"
+        "    except AssertionError:\n"
+        "        pass\n"
     )
     src = os.path.dirname(os.path.dirname(circlering.__file__))
     env = dict(os.environ, PYTHONPATH=src)

@@ -16,6 +16,7 @@ from circlering.plane import (
     AT_INFINITY,
     Circle,
     PlanePoint,
+    _q_squared_distance,
     circle,
     circle_cardinality,
     enumerate_circle,
@@ -32,6 +33,7 @@ from oracles import (
     brute_circle_field,
     brute_circle_prime,
     distance_from_parameters,
+    fraction_is_square,
     has_vanishing_distance_pair,
 )
 
@@ -81,6 +83,48 @@ def test_squared_distance_golden():
     assert not squared_distance(p, point(Q, 2, 0)).is_square()
     assert not Q(Fraction(16, 5)).is_square()
     assert squared_distance(point(F7, 0, 1), point(F7, 0, 6)) == F7(4)
+
+
+def test_q_integer_checks_match_fraction_arithmetic(rng):
+    # Circle.contains and is_rational_distance over Q compute on integers;
+    # the plain Fraction formulas decide.  Circles are off-centre with
+    # zero, negative and fractional values, points on them come from
+    # parameters, and points off them are moved by 1/den in one coordinate
+    def frac(num=30, den=12):
+        return Fraction(rng.randint(-num, num), rng.randint(1, den))
+
+    def fraction_distance(a, b):
+        return (a.x.value - b.x.value) ** 2 + (a.y.value - b.y.value) ** 2
+
+    # r = 5/6 through (1/2, 2/3): the coordinates' denominators differ
+    c = circle(Q, (0, 0), Fraction(5, 6))
+    assert c.contains(point(Q, Fraction(1, 2), Fraction(2, 3)))
+    assert not c.contains(point(Q, Fraction(1, 2), Fraction(1, 3)))
+    outcomes = set()
+    for k in range(40):
+        center = (0, 0) if k < 4 else (frac(), frac())
+        c = circle(Q, center, frac() or Fraction(1, 7))
+        r2 = c.radius.value ** 2
+        # parameters of the family (n - 1/n)/2 give points at rational distances
+        ts = [Fraction(n * n - 1, 2 * n) for n in rng.sample(range(1, 9), 2)]
+        on = [point_from_parameter(c, t) for t in ts + [frac(9, 9) for _ in range(3)]]
+        for p in on:
+            x, y = p.x.value, p.y.value
+            step = Fraction(1, rng.choice((x.denominator, y.denominator, rng.randint(1, 50))))
+            moved = point(Q, x + step, y) if rng.random() < 0.5 else point(Q, x, y - step)
+            for q in (p, moved):
+                assert c.contains(q) == (fraction_distance(q, c.center) == r2)
+                outcomes.add(c.contains(q))
+        for i, a in enumerate(on):
+            for b in on[i:]:
+                rational = is_rational_distance(c, a, b)
+                assert rational == fraction_is_square(fraction_distance(a, b))
+                outcomes.add(rational)
+        for _ in range(4):
+            a, b = point(Q, frac(), frac()), point(Q, frac(), frac())
+            n, den = _q_squared_distance(a._xy, b._xy)
+            assert Fraction(n, den * den) == fraction_distance(a, b)
+    assert outcomes == {True, False}
 
 
 def test_translate_and_rotate_golden():

@@ -19,6 +19,7 @@ from circlering.maximal import is_perfect_distance
 from circlering.plane import circle, enumerate_circle, point, point_from_parameter
 from circlering.rotation import (
     RotationElement,
+    _RationalTorus,
     _torus,
     classify_cyclicity,
     element_order,
@@ -156,6 +157,23 @@ def test_rot_pow_golden_and_oracle(rng):
     # a power over Q whose coordinates would have billions of digits is refused
     with pytest.raises(ResultTooLarge):
         rot_pow(rotation_element(CQ2, Fraction(8, 5), Fraction(6, 5)), 10**9)
+
+
+def test_a_q_power_off_the_circle_is_refused(monkeypatch):
+    # each element rot_pow returns is checked on the circle by an explicit
+    # check, which python -O keeps; a torus that maps back off the circle
+    # is caught
+    from_torus = _RationalTorus.from_torus
+
+    def off_the_circle(self, w):
+        x, y = from_torus(self, w)
+        return x + Fraction(1, x.denominator), y
+
+    monkeypatch.setattr(_RationalTorus, "from_torus", off_the_circle)
+    b = rotation_element(CQ2, Fraction(8, 5), Fraction(6, 5))
+    for n in (0, 1, 7, 64):
+        with pytest.raises(PointNotOnCircle):
+            rot_pow(b, n)
 
 
 def test_rot_mul_and_pow_match_residue_formula():
