@@ -371,6 +371,12 @@ class FieldDescriptor:
     def _is_prime_subfield_square(self, a):
         return self._is_square(a)
 
+    def _squared_distance(self, a, b):
+        """(a1-b1)^2 + (a2-b2)^2 for raw coordinate pairs, as a raw value."""
+        sub, mul = self._sub, self._mul
+        dx, dy = sub(a[0], b[0]), sub(a[1], b[1])
+        return self._add(mul(dx, dx), mul(dy, dy))
+
     def _format(self, a, digits):
         return digits(a)
 
@@ -430,6 +436,15 @@ class PrimeField(FieldDescriptor):
         if a == 0 or self.p == 2:
             return True
         return pow(a, (self.p - 1) // 2, self.p) == 1
+
+    # F_p is its own prime subfield; the alias saves the base class's call layer
+    _is_prime_subfield_square = _is_square
+
+    def _squared_distance(self, a, b):
+        # the integer sum is exact, so one reduction at the end does for five
+        (a0, a1), (b0, b1) = a, b
+        dx, dy = a0 - b0, a1 - b1
+        return (dx * dx + dy * dy) % self.p
 
     @property
     def _non_square(self):

@@ -45,7 +45,6 @@ from .plane import (
     _q_squared_distance,
     _raw_circle_points,
     _raw_marker,
-    _raw_squared_distance,
     enumerate_circle,
     point_from_parameter,
     squared_distance,
@@ -107,9 +106,7 @@ class CircularPointSet:
         """All pairwise squared distances occurring inside the set."""
         field = self.circle.field
         raw = [p._xy for p in self.points]
-        values = {
-            _raw_squared_distance(field, a, b) for i, a in enumerate(raw) for b in raw[i + 1 :]
-        }
+        values = {field._squared_distance(a, b) for i, a in enumerate(raw) for b in raw[i + 1 :]}
         return {FieldElement(field, v) for v in values}
 
     def __repr__(self):
@@ -154,7 +151,7 @@ def _rational(field: FieldDescriptor, a: tuple, b: tuple) -> bool:
         # N/L^2 is a rational square exactly when the integer N is a square
         n = _q_squared_distance(a, b)[0]
         return math.isqrt(n) ** 2 == n
-    return field._is_prime_subfield_square(_raw_squared_distance(field, a, b))
+    return field._is_prime_subfield_square(field._squared_distance(a, b))
 
 
 def is_rational_distance(c: Circle, p: PlanePoint, q: PlanePoint) -> bool:
@@ -182,14 +179,18 @@ def partition_prime_field_circle(c: Circle):
 
 
 def _raw_partition(c: Circle) -> tuple[list, list]:
-    """partition_prime_field_circle on raw pairs, each class in sorted order (odd F_p only)."""
+    """partition_prime_field_circle on raw pairs, each class in sorted order (odd F_p only).
+
+    _rational's rule as a lookup: the loop walks every point of the
+    circle, so the field's square set, built in O(p), costs no more.
+    """
     field = c.field
     marker = _raw_marker(c)
-    # _rational's finite-field rule, bound once: the loop tests every point of the circle
-    square = field._is_prime_subfield_square
+    squares = prime_square_values(field.p)
+    distance = field._squared_distance
     first, second = [], []
     for xy in _raw_circle_points(c):
-        (second if square(_raw_squared_distance(field, marker, xy)) else first).append(xy)
+        (second if distance(marker, xy) in squares else first).append(xy)
     return first, second
 
 
@@ -477,9 +478,9 @@ def _points_at_distance(c: Circle, at, base: tuple, q) -> list[PlanePoint]:
             n, den = _q_squared_distance(base, p._xy)
             at_q = n * q.denominator == q.numerator * den * den
         else:
-            at_q = _raw_squared_distance(field, base, p._xy) == q
+            at_q = field._squared_distance(base, p._xy) == q
         if not at_q:
-            d = _raw_squared_distance(field, base, p._xy)
+            d = field._squared_distance(base, p._xy)
             raise AssertionError(
                 f"{p} is at {FieldElement(field, d)}, not {FieldElement(field, q)}, "
                 f"from {_point(field, base)}"
@@ -548,12 +549,13 @@ def _rationality_adjacency(field: FieldDescriptor, points: list[tuple]) -> list[
     Compares raw squared-distance residues against the prime-subfield squares.
     """
     squares = {field._canon(s) for s in prime_square_values(field.characteristic)}
+    distance = field._squared_distance
     n = len(points)
     adj = [0] * n
     for i in range(n):
         pi = points[i]
         for j in range(i + 1, n):
-            if _raw_squared_distance(field, pi, points[j]) in squares:
+            if distance(pi, points[j]) in squares:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
     return adj

@@ -138,18 +138,18 @@ class Circle:
     def contains(self, p: PlanePoint) -> bool:
         """Whether (x - m1)^2 + (y - m2)^2 = r^2.
 
-        Compared on raw field values, and over Q as one integer identity
-        (see _q_squared_distance).
+        Compared on raw field values with the field's _squared_distance,
+        and over Q as one integer identity (see _q_squared_distance).
         """
         field = self.field
-        if p.field != field:
+        if p.field is not field and p.field != field:
             raise DescriptorMismatch(f"point over {p.field} tested against a circle over {field}")
         r = self.radius.value
         if isinstance(field, Rationals):
             # N/L^2 = (u/v)^2 for r = u/v
             n, den = _q_squared_distance(p._xy, self.center._xy)
             return n * r.denominator**2 == (r.numerator * den) ** 2
-        return _raw_squared_distance(field, p._xy, self.center._xy) == field._mul(r, r)
+        return field._squared_distance(p._xy, self.center._xy) == field._mul(r, r)
 
     def require(self, p: PlanePoint) -> None:
         if not self.contains(p):
@@ -166,14 +166,6 @@ def circle(field: FieldDescriptor, center, radius) -> Circle:
     """Convenience constructor accepting raw center/radius values."""
     cx, cy = center
     return Circle(point(field, cx, cy), field(radius))
-
-
-def _raw_squared_distance(field: FieldDescriptor, a: tuple, b: tuple):
-    """(a1-b1)^2 + (a2-b2)^2 for raw coordinate pairs of `field`, as a raw value."""
-    sub, mul = field._sub, field._mul
-    dx = sub(a[0], b[0])
-    dy = sub(a[1], b[1])
-    return field._add(mul(dx, dx), mul(dy, dy))
 
 
 def _q_squared_distance(a: tuple, b: tuple) -> tuple[int, int]:
@@ -196,7 +188,7 @@ def squared_distance(p: PlanePoint, q: PlanePoint) -> FieldElement:
     field = p.field
     if q.field != field:
         raise DescriptorMismatch("points from different fields")
-    return FieldElement(field, _raw_squared_distance(field, p._xy, q._xy))
+    return FieldElement(field, field._squared_distance(p._xy, q._xy))
 
 
 def circle_cardinality(field: FieldDescriptor) -> int:

@@ -380,10 +380,15 @@ def element_order(a: RotationElement) -> int:
     """Multiplicative order of an element of a finite rotation group.
 
     Raises FactorBoundExceeded when the group order does not factor by
-    trial division up to 10^6 with at most one prime left over.
+    trial division up to 10^6 with at most one prime left over, and
+    WrongFieldKind over Q, whose group is infinite.
     """
     if not a.field.is_finite():
-        raise WrongFieldKind("element orders over Q come from classify_cyclicity")
+        raise WrongFieldKind(
+            "element orders are computed over finite fields; over Q only the four axis points "
+            "(r,0), (-r,0), (0,r), (0,-r) have finite order (1, 2, 4, 4), "
+            "and every other element has infinite order"
+        )
     t, x = a._on_torus()
     order = group_order(a.circle)
     for p in _factorize(order):

@@ -52,6 +52,9 @@ def _is_two_clique_graph(p, squares, class_a, class_b):
     """Brute-force check: the rationality graph is exactly these two cliques.
 
     Every pair is tested once: rational exactly when both points lie in the same class.
+    The squared distance is this function's own integer formula, not the field's
+    _squared_distance, which the partition uses: keep it so, or the check would share
+    the kernel it checks.
     """
     pts = [(x, y, (x, y) in class_a) for x, y in sorted(class_a | class_b)]
     for i, (xi, yi, in_a) in enumerate(pts):

@@ -256,6 +256,15 @@ def test_rot_commands(capsys):
     assert code == 0 and json.loads(out)["result"] is None
 
 
+def test_rot_order_over_q_states_the_orders(capsys):
+    # the group over Q is infinite: the refusal says which orders exist, not a command to run
+    code, out, err = run_cli(capsys, "rot", "order", "--field", "Q", "--radius", "1",
+                             "--point", "3/5,4/5")
+    assert code == 2 and out == ""
+    assert err.startswith("error: WrongFieldKind: ") and "classify_cyclicity" not in err, err
+    assert "(1, 2, 4, 4)" in err and "every other element has infinite order" in err, err
+
+
 def test_keyex_demo_deterministic(capsys):
     args = ("keyex", "demo", "--field", "Fp:1000003", "--radius", "1",
             "--point", "400002,800003", "--seed-a", "5", "--seed-b", "6",

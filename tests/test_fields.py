@@ -15,6 +15,7 @@ from circlering.errors import (
     NotASquare,
 )
 from circlering.fields import (
+    FieldDescriptor,
     PrimeField,
     QuadraticExtension,
     Rationals,
@@ -22,6 +23,7 @@ from circlering.fields import (
     contains_sqrt_minus_one,
     is_prime,
     parse_descriptor,
+    prime_square_values,
     primes_up_to,
     squarefree_part,
 )
@@ -430,3 +432,21 @@ def test_element_text_roundtrip():
             assert field.parse(str(e)) == e
     assert F49.parse("2 + 3a") == F49((2, 3))
     assert F7.parse("-1") == F7(6)
+
+
+def test_prime_squared_distance_reduces_once(rng):
+    # the F_p override against the integer formula and the generic body, reduced at each step
+    for p in [p for p in primes_up_to(101) if p % 2] + [65537]:
+        field = PrimeField(p)
+        for _ in range(25):
+            a = (rng.randrange(p), rng.randrange(p))
+            b = (rng.randrange(p), rng.randrange(p))
+            expected = ((a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2) % p
+            assert field._squared_distance(a, b) == expected, (p, a, b)
+            assert FieldDescriptor._squared_distance(field, a, b) == expected, (p, a, b)
+
+
+def test_prime_square_values_agree_with_euler():
+    for p in primes_up_to(1009)[1:]:
+        field, squares = PrimeField(p), prime_square_values(p)
+        assert [a in squares for a in range(p)] == [field._is_square(a) for a in range(p)], p

@@ -132,6 +132,23 @@ def test_partition_matches_graph_components():
                     assert adj[i] & mask == mask ^ (1 << i)
 
 
+def test_partition_matches_square_set_oracle(rng):
+    # off-origin circles of radius 1, 2, p - 1 and the least non-square: the second class
+    # is the marker (m1, m2 + r) and every point at a square distance from it
+    for p in [p for p in primes_up_to(61) if p % 2]:
+        field, squares = PrimeField(p), squares_of(p)
+        m1, m2 = rng.randrange(1, p), rng.randrange(p)
+        non_square = min(z for z in range(2, p) if z not in squares)
+        for r in sorted({1, 2, p - 1, non_square}):
+            marker = (m1, (m2 + r) % p)
+            first, second = set(), set()
+            for x, y in brute_circle_prime(p, m1, m2, r):
+                rational = ((x - marker[0]) ** 2 + (y - marker[1]) ** 2) % p in squares
+                (second if rational else first).add((x, y))
+            got = partition_prime_field_circle(circle(field, (m1, m2), r))
+            assert [{(q.x.value, q.y.value) for q in s} for s in got] == [first, second], (p, m1, m2, r)
+
+
 def test_partition_rational_cosets():
     c = circle(Q, (0, 0), 1)
     sample = [Fraction(0), Fraction(3, 4), Fraction(4, 3), Fraction(1), AT_INFINITY, Fraction(7)]
@@ -798,6 +815,8 @@ def test_point_set_validation_checks_every_pair_over_extensions():
 
 def test_invariant_checks_survive_optimize():
     # internal invariants are explicit checks, not asserts that -O strips
+    # over F_7 every squared distance reads 1 = r^2, so each built point passes
+    # membership and only the check of its distance from the base can refuse it;
     # over Q the distance of each built point is checked on integers
     script = (
         "import sys\n"
@@ -808,7 +827,7 @@ def test_invariant_checks_survive_optimize():
         "if not sys.flags.optimize:\n"
         "    sys.exit(2)\n"
         "f, q = PrimeField(7), Rationals()\n"
-        "m._raw_squared_distance = lambda field, a, b: field._zero\n"
+        "PrimeField._squared_distance = lambda self, a, b: self._canon(1)\n"
         "m._q_squared_distance = lambda a, b: (0, 1)\n"
         "for c, base, d in ((circle(f, (0, 0), 1), point(f, 0, 1), 2),\n"
         "                   (circle(q, (0, 0), 1), point(q, 1, 0), Fraction(36, 25))):\n"

@@ -4,6 +4,7 @@ from itertools import islice
 import pytest
 
 from circlering.errors import (
+    DescriptorMismatch,
     InfiniteField,
     NotCoprime,
     NotPerfect,
@@ -71,6 +72,18 @@ def test_messages_show_huge_values_by_size():
     # values of up to 256 bits are written out
     with pytest.raises(PointNotOnCircle, match=r"\(5,0\) is not on C\(\(0,0\),1\)_Q"):
         c.require(point(Q, 5, 0))
+
+
+def test_membership_compares_fields_by_value():
+    # the identity test is a shortcut only: an equal field built apart is the same field
+    c = circle(PrimeField(7), (0, 0), 1)
+    twin = PrimeField(7)
+    assert twin is not c.field
+    assert c.contains(point(twin, 0, 1))
+    assert not c.contains(point(twin, 1, 1))
+    c.require(point(twin, 2, 2))
+    with pytest.raises(DescriptorMismatch):
+        c.contains(point(PrimeField(11), 0, 1))
 
 
 def test_squared_distance_golden():
