@@ -326,10 +326,15 @@ class FieldDescriptor:
     so no holder of a field can change it under another.  The
     prime-subfield methods default to those of a field that is its
     own prime subfield, as F_p and Q are; QuadraticExtension overrides them.
+    The geometry's tests on raw pairs, _rational and _is_at, default to
+    the field's own operations; Rationals overrides them on integers.
     """
 
     __slots__ = ()
     _zero = 0  # raw value of the zero element
+    # whether rational pairs split every circle into classes, so a point set is checked
+    # against one of its points: over F_p (the two-class theorem) and Q, not over F_{p^2}
+    _rational_is_class_relation = True
 
     # read from p over F_p (F_{p^2} overrides order); Q overrides both
     characteristic = order = property(lambda self: self.p)
@@ -376,6 +381,14 @@ class FieldDescriptor:
         sub, mul = self._sub, self._mul
         dx, dy = sub(a[0], b[0]), sub(a[1], b[1])
         return self._add(mul(dx, dx), mul(dy, dy))
+
+    def _rational(self, a, b):
+        """The rational-pair test on raw pairs: their squared distance is a prime-subfield square."""
+        return self._is_prime_subfield_square(self._squared_distance(a, b))
+
+    def _is_at(self, a, b, v):
+        """Whether the squared distance of the raw pairs a and b is the raw value v."""
+        return self._squared_distance(a, b) == v
 
     def _format(self, a, digits):
         return digits(a)
@@ -529,6 +542,7 @@ class QuadraticExtension(FieldDescriptor):
     """
 
     _zero = (0, 0)
+    _rational_is_class_relation = False
     p: int
     f: InitVar[tuple[int, int]]
     f0: int = dataclasses.field(init=False)
@@ -689,6 +703,31 @@ class Rationals(FieldDescriptor):
     def _sqrt(self, a):
         # canonical choice: the nonnegative root
         return Fraction(math.isqrt(a.numerator), math.isqrt(a.denominator))
+
+    @staticmethod
+    def _q_squared_distance(a, b):
+        """(a1-b1)^2 + (a2-b2)^2 for raw pairs as N/L^2, on integers and unreduced: (N, L).
+
+        Each difference x/b - e/f is (x f - e b)/(b f); the two are brought
+        to their least common denominator L, so no Fraction is built and no
+        gcd is taken but the one of those two denominators.
+        """
+        (x1, y1), (x2, y2) = a, b
+        dx_den, dy_den = x1.denominator * x2.denominator, y1.denominator * y2.denominator
+        g = math.gcd(dx_den, dy_den)
+        dx = (x1.numerator * x2.denominator - x2.numerator * x1.denominator) * (dy_den // g)
+        dy = (y1.numerator * y2.denominator - y2.numerator * y1.denominator) * (dx_den // g)
+        return dx * dx + dy * dy, dx_den // g * dy_den
+
+    def _rational(self, a, b):
+        # N/L^2 is a rational square exactly when the integer N is a square
+        n = self._q_squared_distance(a, b)[0]
+        return math.isqrt(n) ** 2 == n
+
+    def _is_at(self, a, b, v):
+        # N/L^2 = v exactly when N v.den = v.num L^2
+        n, den = self._q_squared_distance(a, b)
+        return n * v.denominator == v.numerator * (den * den)
 
     def _format(self, a, digits):
         num = digits(a.numerator)

@@ -14,7 +14,6 @@ the closed-form cardinality answer for every field kind and radius case.
 
 import dataclasses
 import enum
-import math
 from fractions import Fraction
 
 from .errors import (
@@ -28,7 +27,6 @@ from .fields import (
     FieldDescriptor,
     FieldElement,
     PrimeField,
-    QuadraticExtension,
     Rationals,
     _brief,
     prime_square_values,
@@ -42,7 +40,6 @@ from .plane import (
     PointAtInfinityMarker,
     _point,
     _positive_rationals,
-    _q_squared_distance,
     _raw_circle_points,
     _raw_marker,
     enumerate_circle,
@@ -63,14 +60,14 @@ class CircularPointSet:
 
     The defining property is always validated at construction: every
     point must lie on the circle, and squared distances are tested on
-    raw field values.  Over a prime field and over Q rationality is a
-    class relation (two-class theorem), so every point is checked
-    against the first one only; over a quadratic extension it is not
-    transitive and every pair is checked.  `points` is kept as a sorted
-    tuple without repeats.  `is_prefix` marks the finite prefix of a
-    countably infinite set over Q.  Sets are frozen, and equal exactly
-    when their circles and points are; `status` and `is_prefix` are not
-    compared.
+    raw field values by the field's _rational.  Over a prime field and
+    over Q rationality is a class relation (the field's
+    _rational_is_class_relation), so every point is checked against the
+    first one only; over a quadratic extension every pair is checked.
+    `points` is kept as a sorted tuple without repeats.  `is_prefix`
+    marks the finite prefix of a countably infinite set over Q.  Sets
+    are frozen, and equal exactly when their circles and points are;
+    `status` and `is_prefix` are not compared.
     """
 
     circle: Circle
@@ -84,10 +81,10 @@ class CircularPointSet:
         for p in pts:
             circle.require(p)
         field = circle.field
-        anchors = pts if isinstance(field, QuadraticExtension) else pts[:1]
+        anchors = pts[:1] if field._rational_is_class_relation else pts
         for i, p in enumerate(anchors):
             for q in pts[i + 1 :]:
-                if not _rational(field, p._xy, q._xy):
+                if not field._rational(p._xy, q._xy):
                     raise ValueError(
                         f"non-rational distance {squared_distance(p, q)} between {p} and {q}"
                     )
@@ -145,20 +142,11 @@ class CardinalityAnswer:
 _CLIQUE_CAP = 2048
 
 
-def _rational(field: FieldDescriptor, a: tuple, b: tuple) -> bool:
-    """The rational-pair relation on raw pairs: the squared distance is a prime-subfield square."""
-    if isinstance(field, Rationals):
-        # N/L^2 is a rational square exactly when the integer N is a square
-        n = _q_squared_distance(a, b)[0]
-        return math.isqrt(n) ** 2 == n
-    return field._is_prime_subfield_square(field._squared_distance(a, b))
-
-
 def is_rational_distance(c: Circle, p: PlanePoint, q: PlanePoint) -> bool:
     """Whether two circle points have rational squared distance."""
     c.require(p)
     c.require(q)
-    return _rational(c.field, p._xy, q._xy)
+    return c.field._rational(p._xy, q._xy)
 
 
 def partition_prime_field_circle(c: Circle):
@@ -174,19 +162,18 @@ def partition_prime_field_circle(c: Circle):
         raise WrongFieldKind("partition needs a finite prime field of odd characteristic")
     return tuple(
         CircularPointSet(c, [_point(field, xy) for xy in cls], SetStatus.C_MAXIMAL)
-        for cls in _raw_partition(c)
+        for cls in _raw_partition(c, prime_square_values(field.p))
     )
 
 
-def _raw_partition(c: Circle) -> tuple[list, list]:
+def _raw_partition(c: Circle, squares) -> tuple[list, list]:
     """partition_prime_field_circle on raw pairs, each class in sorted order (odd F_p only).
 
-    _rational's rule as a lookup: the loop walks every point of the
-    circle, so the field's square set, built in O(p), costs no more.
+    The field's _rational as lookups in `squares`, prime_square_values(p):
+    the loop walks every point, so that set, built in O(p), costs no more.
     """
     field = c.field
     marker = _raw_marker(c)
-    squares = prime_square_values(field.p)
     distance = field._squared_distance
     first, second = [], []
     for xy in _raw_circle_points(c):
@@ -221,8 +208,7 @@ def partition_rational_circle_points(c: Circle, sample):
 def _four_r2(c: Circle):
     """The raw value 4r^2 of the circle; WrongFieldKind in characteristic 2, where it is 0."""
     field = c.field
-    r = c.radius.value
-    four_r2 = field._mul(field._canon(4), field._mul(r, r))
+    four_r2 = field._mul(field._canon(4), c._r2)
     if four_r2 == field._zero:
         raise WrongFieldKind("perfect distances are defined for characteristic != 2")
     return four_r2
@@ -306,7 +292,7 @@ def _witnesses(c: Circle):
         pts = _points_at_distance(c, at_a, a, q)
         if len(pts) == 1:  # q = 4r^2
             pts.append(_points_at_distance(c, at_a, a, _first_other_perfect(c))[0])
-            if not _rational(field, pts[0]._xy, pts[1]._xy):
+            if not field._rational(pts[0]._xy, pts[1]._xy):
                 raise AssertionError(f"antipode triangle through {pts[1]} is not rational")
         return (point_a, *pts)
 
@@ -324,8 +310,7 @@ def _parametrized_perfect(c: Circle):
     """
     field = c.field
     add, mul, inv = field._add, field._mul, field._inv
-    r = c.radius.value
-    r2 = mul(r, r)
+    r2 = c._r2
     four_r2 = _four_r2(c)
     if field.is_finite():
         params = map(field._canon, range(1, (field.characteristic + 1) // 2))
@@ -358,8 +343,7 @@ def _perfect_values(c: Circle):
     """
     field = c.field
     four_r2 = _four_r2(c)
-    r = c.radius.value
-    if not field._in_prime_subfield(field._mul(r, r)):
+    if not field._in_prime_subfield(c._r2):
         raise RadiusSquaredNotInPrimeField(
             "no circular point set of size >= 3 exists when r^2 is outside P(F)"
         )
@@ -430,8 +414,7 @@ def _is_perfect(c: Circle, q) -> bool:
     """is_perfect_distance on a raw q, the one perfectness rule; False when r^2 is outside P(F)."""
     field = c.field
     four_r2 = _four_r2(c)
-    r = c.radius.value
-    if q == field._zero or not _acp(c, q) or not field._in_prime_subfield(field._mul(r, r)):
+    if q == field._zero or not _acp(c, q) or not field._in_prime_subfield(c._r2):
         return False
     return q != four_r2 or _first_other_perfect(c) is not None
 
@@ -474,12 +457,7 @@ def _points_at_distance(c: Circle, at, base: tuple, q) -> list[PlanePoint]:
     out = [_point(field, xy) for xy in sorted(set(at(q)))]
     for p in out:
         c.require(p)
-        if isinstance(field, Rationals):
-            n, den = _q_squared_distance(base, p._xy)
-            at_q = n * q.denominator == q.numerator * den * den
-        else:
-            at_q = field._squared_distance(base, p._xy) == q
-        if not at_q:
+        if not field._is_at(base, p._xy, q):
             d = field._squared_distance(base, p._xy)
             raise AssertionError(
                 f"{p} is at {FieldElement(field, d)}, not {FieldElement(field, q)}, "
@@ -532,8 +510,7 @@ def grow_maximal_set(c: Circle, seed: PlanePoint, prefix: int = 64) -> CircularP
     p = field.characteristic
     if p > _ENUMERATION_CAP:
         raise CircleTooLarge(f"the characteristic {p} exceeds the cap {_ENUMERATION_CAP}")
-    r = c.radius.value
-    pts = list(iter_maximal_points(c, seed)) if field._in_prime_subfield(field._mul(r, r)) else [seed]
+    pts = list(iter_maximal_points(c, seed)) if field._in_prime_subfield(c._r2) else [seed]
     if len(pts) == 1:  # no perfect distance: the least rational partner, if any
         base = seed._xy
         at = _rotations(c, base)
@@ -595,15 +572,16 @@ def enumerate_emaximal_sets(c: Circle, seed: PlanePoint):
     points; the largest are c-maximal, which is globally correct because
     rotations carry cliques through any point to cliques through any
     other.  In characteristic 2 the one set is the circle.  The seed has
-    at most (p - 1)/2 neighbours over F_p (its class has (p +- 1)/2
-    points) and p - 1 over F_{p^2} (two per nonzero square of F_p); a
-    bound past _CLIQUE_CAP raises CircleTooLarge before any work.
+    at most (p - 1)/2 neighbours where rationality is a class relation
+    (its class has (p +- 1)/2 points), p - 1 over F_{p^2} (two per
+    square of F_p^*); a bound past _CLIQUE_CAP raises CircleTooLarge
+    before any work.
     """
     field = c.field
     if not field.is_finite():
         raise InfiniteField("circles over Q have infinitely many points")
     p = field.characteristic
-    bound = (p - 1) // 2 if isinstance(field, PrimeField) else p - 1
+    bound = (p - 1) // 2 if field._rational_is_class_relation else p - 1
     if bound > _CLIQUE_CAP:
         raise CircleTooLarge(f"{bound} possible neighbours of the seed exceed the cap {_CLIQUE_CAP}")
     if p == 2:
@@ -643,8 +621,7 @@ def cmaximal_cardinality(field: FieldDescriptor, r) -> CardinalityAnswer:
         return CardinalityAnswer("finite", field.order)
     if char == 0:
         return CardinalityAnswer("countably_infinite")
-    r2 = r * r
-    if not r2.in_prime_subfield():
+    if not field._in_prime_subfield(c._r2):
         witness = None
         if char <= _ENUMERATION_CAP:
             marker = point_from_parameter(c, AT_INFINITY)

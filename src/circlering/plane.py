@@ -10,8 +10,7 @@ computes on that pair, and a coordinate's FieldElement is built only
 when `x` or `y` is read.
 """
 
-import math
-from dataclasses import FrozenInstanceError, dataclass
+import dataclasses
 from fractions import Fraction
 from itertools import count
 
@@ -59,7 +58,7 @@ class PlanePoint:
         return _point(x.field, (x.value, y.value))
 
     def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        raise dataclasses.FrozenInstanceError(f"cannot assign to field {name!r}")
 
     __delattr__ = __setattr__
 
@@ -118,18 +117,21 @@ def point(field: FieldDescriptor, x, y) -> PlanePoint:
     return PlanePoint(field(x), field(y))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class Circle:
     """The circle of center M and radius r; r = 0 is rejected."""
 
     center: PlanePoint
     radius: FieldElement
+    # the raw value r^2, computed once; not compared, hashed or shown
+    _r2: object = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.center.field != self.radius.field:
             raise DescriptorMismatch("circle center and radius from different fields")
         if self.radius.is_zero():
             raise ZeroRadius("circles with radius 0 are degenerate and not supported")
+        object.__setattr__(self, "_r2", self.field._mul(self.radius.value, self.radius.value))
 
     @property
     def field(self) -> FieldDescriptor:
@@ -138,18 +140,13 @@ class Circle:
     def contains(self, p: PlanePoint) -> bool:
         """Whether (x - m1)^2 + (y - m2)^2 = r^2.
 
-        Compared on raw field values with the field's _squared_distance,
-        and over Q as one integer identity (see _q_squared_distance).
+        Compared on raw field values by the field's _is_at against the
+        circle's r^2, over Q as one integer identity.
         """
         field = self.field
         if p.field is not field and p.field != field:
             raise DescriptorMismatch(f"point over {p.field} tested against a circle over {field}")
-        r = self.radius.value
-        if isinstance(field, Rationals):
-            # N/L^2 = (u/v)^2 for r = u/v
-            n, den = _q_squared_distance(p._xy, self.center._xy)
-            return n * r.denominator**2 == (r.numerator * den) ** 2
-        return field._squared_distance(p._xy, self.center._xy) == field._mul(r, r)
+        return field._is_at(p._xy, self.center._xy, self._r2)
 
     def require(self, p: PlanePoint) -> None:
         if not self.contains(p):
@@ -166,21 +163,6 @@ def circle(field: FieldDescriptor, center, radius) -> Circle:
     """Convenience constructor accepting raw center/radius values."""
     cx, cy = center
     return Circle(point(field, cx, cy), field(radius))
-
-
-def _q_squared_distance(a: tuple, b: tuple) -> tuple[int, int]:
-    """(a1-b1)^2 + (a2-b2)^2 for raw Q pairs as N/L^2, on integers and unreduced: (N, L).
-
-    Each difference x/b - e/f is (x f - e b)/(b f); the two are brought
-    to their least common denominator L, so no Fraction is built and no
-    gcd is taken but the one of those two denominators.
-    """
-    (x1, y1), (x2, y2) = a, b
-    dx_den, dy_den = x1.denominator * x2.denominator, y1.denominator * y2.denominator
-    g = math.gcd(dx_den, dy_den)
-    dx = (x1.numerator * x2.denominator - x2.numerator * x1.denominator) * (dy_den // g)
-    dy = (y1.numerator * y2.denominator - y2.numerator * y1.denominator) * (dx_den // g)
-    return dx * dx + dy * dy, dx_den // g * dy_den
 
 
 def squared_distance(p: PlanePoint, q: PlanePoint) -> FieldElement:

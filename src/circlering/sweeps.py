@@ -48,14 +48,15 @@ def _prime_theorem_primes(p_max: int, graph_max: int) -> list[int]:
     return _odd_primes(p_max, _PRIME_THEOREM_PMAX_CAP)
 
 
-def _is_two_clique_graph(p, squares, class_a, class_b):
+def _is_two_clique_graph(p, class_a, class_b):
     """Brute-force check: the rationality graph is exactly these two cliques.
 
     Every pair is tested once: rational exactly when both points lie in the same class.
-    The squared distance is this function's own integer formula, not the field's
-    _squared_distance, which the partition uses: keep it so, or the check would share
-    the kernel it checks.
+    The squared distance and the square set are this function's own integer formulas,
+    not the field's _squared_distance and prime_square_values, which the partition
+    uses: keep them so, or the check would share the kernels it checks.
     """
+    squares = {x * x % p for x in range(p)}
     pts = [(x, y, (x, y) in class_a) for x, y in sorted(class_a | class_b)]
     for i, (xi, yi, in_a) in enumerate(pts):
         for xj, yj, also_in_a in pts[i + 1:]:
@@ -85,14 +86,14 @@ def prime_theorem_record(p: int, graph_max: int = 97) -> dict:
     failure = None
     graph_checked = p <= graph_max
     for r in sorted({1, 2, p - 1, field._non_square}):
-        first, second = _raw_partition(circle(field, (0, 0), r))
+        first, second = _raw_partition(circle(field, (0, 0), r), squares)
         if r == 1:
             class_size = len(first)
         if len(first) != expected or len(second) != expected:
             checks["class_sizes"] = False
             failure = {"r": r, "sizes": [len(first), len(second)]}
             break
-        if graph_checked and not _is_two_clique_graph(p, squares, set(first), set(second)):
+        if graph_checked and not _is_two_clique_graph(p, set(first), set(second)):
             checks["two_cliques"] = False
             failure = {"r": r, "reason": "rationality graph is not two disjoint cliques"}
             break

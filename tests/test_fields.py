@@ -1,4 +1,6 @@
+import ast
 import os
+import pathlib
 import subprocess
 import sys
 from fractions import Fraction
@@ -450,3 +452,35 @@ def test_prime_square_values_agree_with_euler():
     for p in primes_up_to(1009)[1:]:
         field, squares = PrimeField(p), prime_square_values(p)
         assert [a in squares for a in range(p)] == [field._is_square(a) for a in range(p)], p
+
+
+def test_field_kinds_are_named_only_at_boundaries():
+    # what differs between field kinds lives in the descriptors, so a new kind
+    # touches fields.py; elsewhere isinstance names a kind only where an API
+    # entry point takes one kind, and in keyex's wire format
+    kinds = {"PrimeField", "QuadraticExtension", "Rationals"}
+    found = set()
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, module, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call) and getattr(child.func, "id", None) == "isinstance":
+                named = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(child.args[1])}
+                if named & kinds:
+                    found.add(".".join((module, *scope)))
+            visit(child, module, scope)
+
+    for path in pathlib.Path(circlering.__file__).parent.glob("*.py"):
+        if path.name != "fields.py":
+            visit(ast.parse(path.read_text()), path.stem, ())
+    assert found == {
+        "keyex.ProtocolParams.__post_init__",
+        "maximal.partition_prime_field_circle",
+        "maximal.partition_rational_circle_points",
+        "plane.enumerate_rational_points",
+        "keyex._pack_value",
+        "keyex._pack_descriptor",
+        "keyex._read_value",
+    }

@@ -817,7 +817,7 @@ def test_invariant_checks_survive_optimize():
     # internal invariants are explicit checks, not asserts that -O strips
     # over F_7 every squared distance reads 1 = r^2, so each built point passes
     # membership and only the check of its distance from the base can refuse it;
-    # over Q the distance of each built point is checked on integers
+    # over Q every point reads at r^2 = 1 and none at 36/25, with the same effect
     script = (
         "import sys\n"
         "from fractions import Fraction\n"
@@ -828,7 +828,7 @@ def test_invariant_checks_survive_optimize():
         "    sys.exit(2)\n"
         "f, q = PrimeField(7), Rationals()\n"
         "PrimeField._squared_distance = lambda self, a, b: self._canon(1)\n"
-        "m._q_squared_distance = lambda a, b: (0, 1)\n"
+        "Rationals._is_at = lambda self, a, b, v: v == 1\n"
         "for c, base, d in ((circle(f, (0, 0), 1), point(f, 0, 1), 2),\n"
         "                   (circle(q, (0, 0), 1), point(q, 1, 0), Fraction(36, 25))):\n"
         "    try:\n"

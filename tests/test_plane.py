@@ -12,12 +12,11 @@ from circlering.errors import (
     PointNotOnCircle,
     ZeroRadius,
 )
-from circlering.fields import PrimeField, QuadraticExtension, Rationals, primes_up_to
+from circlering.fields import FieldDescriptor, PrimeField, QuadraticExtension, Rationals, primes_up_to
 from circlering.plane import (
     AT_INFINITY,
     Circle,
     PlanePoint,
-    _q_squared_distance,
     circle,
     circle_cardinality,
     enumerate_circle,
@@ -99,10 +98,12 @@ def test_squared_distance_golden():
 
 
 def test_q_integer_checks_match_fraction_arithmetic(rng):
-    # Circle.contains and is_rational_distance over Q compute on integers;
-    # the plain Fraction formulas decide.  Circles are off-centre with
-    # zero, negative and fractional values, points on them come from
-    # parameters, and points off them are moved by 1/den in one coordinate
+    # Circle.contains and is_rational_distance over Q compute on integers
+    # (Rationals overrides _is_at and _rational); the plain Fraction formulas
+    # and the generic bodies of FieldDescriptor decide.  Circles are
+    # off-centre with zero, negative and fractional values, points on them
+    # come from parameters, and points off them are moved by 1/den in one
+    # coordinate
     def frac(num=30, den=12):
         return Fraction(rng.randint(-num, num), rng.randint(1, den))
 
@@ -118,6 +119,9 @@ def test_q_integer_checks_match_fraction_arithmetic(rng):
         center = (0, 0) if k < 4 else (frac(), frac())
         c = circle(Q, center, frac() or Fraction(1, 7))
         r2 = c.radius.value ** 2
+        assert c._r2 == (c.radius * c.radius).value
+        twin = circle(Q, center, c.radius.value)
+        assert twin == c and hash(twin) == hash(c)
         # parameters of the family (n - 1/n)/2 give points at rational distances
         ts = [Fraction(n * n - 1, 2 * n) for n in rng.sample(range(1, 9), 2)]
         on = [point_from_parameter(c, t) for t in ts + [frac(9, 9) for _ in range(3)]]
@@ -127,17 +131,32 @@ def test_q_integer_checks_match_fraction_arithmetic(rng):
             moved = point(Q, x + step, y) if rng.random() < 0.5 else point(Q, x, y - step)
             for q in (p, moved):
                 assert c.contains(q) == (fraction_distance(q, c.center) == r2)
+                assert c.contains(q) == FieldDescriptor._is_at(Q, q._xy, c.center._xy, c._r2)
                 outcomes.add(c.contains(q))
         for i, a in enumerate(on):
             for b in on[i:]:
                 rational = is_rational_distance(c, a, b)
                 assert rational == fraction_is_square(fraction_distance(a, b))
+                assert rational == FieldDescriptor._rational(Q, a._xy, b._xy)
                 outcomes.add(rational)
         for _ in range(4):
             a, b = point(Q, frac(), frac()), point(Q, frac(), frac())
-            n, den = _q_squared_distance(a._xy, b._xy)
-            assert Fraction(n, den * den) == fraction_distance(a, b)
+            d = fraction_distance(a, b)
+            n, den = Q._q_squared_distance(a._xy, b._xy)
+            assert Fraction(n, den * den) == d
+            assert Q._rational(a._xy, b._xy) == FieldDescriptor._rational(Q, a._xy, b._xy)
+            for v in (d, d + Fraction(1, rng.randint(1, 9))):
+                assert Q._is_at(a._xy, b._xy, v) == FieldDescriptor._is_at(Q, a._xy, b._xy, v)
+                outcomes.add(Q._is_at(a._xy, b._xy, v))
     assert outcomes == {True, False}
+    # the finite fields keep the generic _is_at
+    for field in (F13, QuadraticExtension(7, (1, 0))):
+        elements = list(field._raw_elements())
+        for _ in range(50):
+            a, b = (rng.choice(elements), rng.choice(elements)), (rng.choice(elements), rng.choice(elements))
+            d = field._squared_distance(a, b)
+            for v in (d, rng.choice(elements)):
+                assert field._is_at(a, b, v) == (d == v)
 
 
 def test_translate_and_rotate_golden():
