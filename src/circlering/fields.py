@@ -21,11 +21,13 @@ modulus (exact below psi_13 = 3317044064679887385961981, Baillie-PSW above).
 """
 
 import dataclasses
+import functools
 import itertools
 import math
 import operator
 import re
 import reprlib
+from array import array
 from bisect import bisect_right
 from dataclasses import InitVar, dataclass
 from fractions import Fraction
@@ -779,6 +781,17 @@ def _parse_descriptor(s: str) -> FieldDescriptor:
     raise ValueError("expected Fp:p, Fp2:p,x^2+c1x+c0 or Q")
 
 
-def prime_square_values(p: int) -> frozenset:
-    """The set of squares in F_p (including 0), as raw residues."""
-    return frozenset(x * x % p for x in range((p // 2) + 1))
+@functools.lru_cache(maxsize=4)
+def _prime_square_roots(p: int) -> array:
+    """The square-root table of F_p, p odd: root[v] is the least k with k^2 = v, or -1.
+
+    root[v] is PrimeField._sqrt(v), the one root in [0, (p - 1)/2], so
+    (p + 1)/2 squarings fill the table.  It holds p 4-byte entries (4 MB
+    near 10^6), and each caller stands behind a cap on p (enumeration,
+    clique search, sweep bounds); the cache keeps four, so the circles of
+    a sweep record share one.  Callers only read it.
+    """
+    root = array("i", [-1]) * p
+    for k in range((p + 1) // 2):
+        root[k * k % p] = k
+    return root

@@ -29,7 +29,7 @@ from .fields import (
     PrimeField,
     Rationals,
     _brief,
-    prime_square_values,
+    _prime_square_roots,
     squarefree_part,
 )
 from .plane import (
@@ -162,22 +162,23 @@ def partition_prime_field_circle(c: Circle):
         raise WrongFieldKind("partition needs a finite prime field of odd characteristic")
     return tuple(
         CircularPointSet(c, [_point(field, xy) for xy in cls], SetStatus.C_MAXIMAL)
-        for cls in _raw_partition(c, prime_square_values(field.p))
+        for cls in _raw_partition(c)
     )
 
 
-def _raw_partition(c: Circle, squares) -> tuple[list, list]:
+def _raw_partition(c: Circle) -> tuple[list, list]:
     """partition_prime_field_circle on raw pairs, each class in sorted order (odd F_p only).
 
-    The field's _rational as lookups in `squares`, prime_square_values(p):
-    the loop walks every point, so that set, built in O(p), costs no more.
+    The field's _rational as lookups in the square-root table of F_p,
+    the one that listed the points: v is a square exactly when root[v] >= 0.
     """
     field = c.field
     marker = _raw_marker(c)
     distance = field._squared_distance
+    root = _prime_square_roots(field.p)
     first, second = [], []
     for xy in _raw_circle_points(c):
-        (second if distance(marker, xy) in squares else first).append(xy)
+        (second if root[distance(marker, xy)] >= 0 else first).append(xy)
     return first, second
 
 
@@ -523,9 +524,10 @@ def grow_maximal_set(c: Circle, seed: PlanePoint, prefix: int = 64) -> CircularP
 def _rationality_adjacency(field: FieldDescriptor, points: list[tuple]) -> list[int]:
     """Bitmask adjacency of the rationality graph on raw points of a finite field.
 
-    Compares raw squared-distance residues against the prime-subfield squares.
+    Compares raw squared distances against the squares of F_p's square-root table.
     """
-    squares = {field._canon(s) for s in prime_square_values(field.characteristic)}
+    root = _prime_square_roots(field.characteristic)
+    squares = {field._canon(v) for v, k in enumerate(root) if k >= 0}
     distance = field._squared_distance
     n = len(points)
     adj = [0] * n

@@ -17,7 +17,6 @@ from .fields import (
     QuadraticExtension,
     _is_irreducible,
     contains_sqrt_minus_one,
-    prime_square_values,
     primes_up_to,
 )
 from .maximal import _raw_partition, cmaximal_cardinality, grow_maximal_set, is_rational_distance
@@ -53,7 +52,7 @@ def _is_two_clique_graph(p, class_a, class_b):
 
     Every pair is tested once: rational exactly when both points lie in the same class.
     The squared distance and the square set are this function's own integer formulas,
-    not the field's _squared_distance and prime_square_values, which the partition
+    not the field's _squared_distance and square-root table, which the partition
     uses: keep them so, or the check would share the kernels it checks.
     """
     squares = {x * x % p for x in range(p)}
@@ -80,13 +79,12 @@ def prime_theorem_record(p: int, graph_max: int = 97) -> dict:
     `counterexample`.
     """
     field = PrimeField(p)
-    squares = prime_square_values(p)
     expected = cmaximal_cardinality(field, 1).n
     checks = {"class_sizes": True, "two_cliques": True}
     failure = None
     graph_checked = p <= graph_max
     for r in sorted({1, 2, p - 1, field._non_square}):
-        first, second = _raw_partition(circle(field, (0, 0), r), squares)
+        first, second = _raw_partition(circle(field, (0, 0), r))
         if r == 1:
             class_size = len(first)
         if len(first) != expected or len(second) != expected:

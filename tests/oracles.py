@@ -34,13 +34,18 @@ def squares_of(p: int) -> frozenset:
 
 
 def brute_circle_prime(p: int, m1: int, m2: int, r: int) -> set:
-    """Circle points over F_p found by scanning all p^2 coordinate pairs."""
-    rr = r * r % p
+    """Circle points over F_p found by scanning all p^2 coordinate pairs.
+
+    The pair (x, y) is kept when (y - m2)^2 = r^2 - (x - m1)^2; the p
+    values of (y - m2)^2 are computed once, before the scan.
+    """
+    dy2 = [(y - m2) ** 2 % p for y in range(p)]
     return {
         (x, y)
         for x in range(p)
-        for y in range(p)
-        if ((x - m1) ** 2 + (y - m2) ** 2) % p == rr
+        for need in [(r * r - (x - m1) ** 2) % p]
+        for y, v in enumerate(dy2)
+        if v == need
     }
 
 

@@ -117,8 +117,8 @@ def test_mismatch_names_failed_check(capsys, monkeypatch):
     # reports the measured class size, not the theorem's
     partition = sweeps._raw_partition
 
-    def uneven(c, squares):
-        first, second = partition(c, squares)
+    def uneven(c):
+        first, second = partition(c)
         return first + second[:1], second[1:]
 
     monkeypatch.setattr(sweeps, "_raw_partition", uneven)
@@ -180,8 +180,8 @@ def test_prime_theorem_record_names_failed_check(monkeypatch):
     # a partition that misplaces one point on one partitioned circle fails at that radius
     partition = sweeps._raw_partition
     for r in (1, 2, 12):  # 2 is also F_13's least non-square
-        def uneven(c, squares, r=r):
-            first, second = partition(c, squares)
+        def uneven(c, r=r):
+            first, second = partition(c)
             return (first + second[:1], second[1:]) if c.radius.value == r else (first, second)
 
         monkeypatch.setattr(sweeps, "_raw_partition", uneven)
@@ -190,8 +190,8 @@ def test_prime_theorem_record_names_failed_check(monkeypatch):
         assert rec["counterexample"]["r"] == r, rec
 
     # classes of the theorem's sizes, one point of each in the other's, fail only the graph check
-    def swapped(c, squares):
-        first, second = partition(c, squares)
+    def swapped(c):
+        first, second = partition(c)
         return [second[0], *first[1:]], [first[0], *second[1:]]
 
     monkeypatch.setattr(sweeps, "_raw_partition", swapped)

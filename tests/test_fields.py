@@ -22,10 +22,10 @@ from circlering.fields import (
     QuadraticExtension,
     Rationals,
     _is_strong_lucas_probable_prime,
+    _prime_square_roots,
     contains_sqrt_minus_one,
     is_prime,
     parse_descriptor,
-    prime_square_values,
     primes_up_to,
     squarefree_part,
 )
@@ -448,10 +448,14 @@ def test_prime_squared_distance_reduces_once(rng):
             assert FieldDescriptor._squared_distance(field, a, b) == expected, (p, a, b)
 
 
-def test_prime_square_values_agree_with_euler():
+def test_prime_square_roots_agree_with_euler_and_sqrt():
+    # the table's square test is Euler's criterion, and its root the field's canonical root
     for p in primes_up_to(1009)[1:]:
-        field, squares = PrimeField(p), prime_square_values(p)
-        assert [a in squares for a in range(p)] == [field._is_square(a) for a in range(p)], p
+        field, root = PrimeField(p), _prime_square_roots(p)
+        assert len(root) == p
+        euler = [v == 0 or pow(v, (p - 1) // 2, p) == 1 for v in range(p)]
+        assert [k >= 0 for k in root] == euler, p
+        assert all(root[v] == field._sqrt(v) for v in range(p) if euler[v]), p
 
 
 def test_field_kinds_are_named_only_at_boundaries():

@@ -1,3 +1,4 @@
+from array import array
 from fractions import Fraction
 from itertools import islice
 
@@ -12,11 +13,20 @@ from circlering.errors import (
     PointNotOnCircle,
     ZeroRadius,
 )
-from circlering.fields import FieldDescriptor, PrimeField, QuadraticExtension, Rationals, primes_up_to
+from circlering import plane
+from circlering.fields import (
+    FieldDescriptor,
+    PrimeField,
+    QuadraticExtension,
+    Rationals,
+    _prime_square_roots,
+    primes_up_to,
+)
 from circlering.plane import (
     AT_INFINITY,
     Circle,
     PlanePoint,
+    _raw_circle_points,
     circle,
     circle_cardinality,
     enumerate_circle,
@@ -25,7 +35,7 @@ from circlering.plane import (
     point_from_parameter,
     squared_distance,
 )
-from circlering.maximal import is_rational_distance, points_at_distance
+from circlering.maximal import is_rational_distance, partition_prime_field_circle, points_at_distance
 from circlering.rotation import RotationElement, gaussian_norm_square_check, rot_mul, rotation_element
 
 from oracles import (
@@ -238,6 +248,52 @@ def test_enumerate_circle_against_brute_force():
         c = Circle(PlanePoint(field.zero, field.one), field((1, 1)))
         got = {(pt.x, pt.y) for pt in enumerate_circle(c)}
         assert got == brute_circle_field(field, (field.zero, field.one), field((1, 1)))
+
+
+def test_table_points_match_parametrization_and_brute_force(rng):
+    # over odd F_p the points come from the square-root table; the parametrization
+    # and a scan of all p^2 pairs give the same sorted list
+    for p in [p for p in primes_up_to(400) if p % 2]:
+        field = PrimeField(p)
+        m1, m2 = rng.randrange(1, p), rng.randrange(1, p)
+        for r in sorted({1, field._non_square, p - 1}):
+            c = circle(field, (m1, m2), r)
+            got = _raw_circle_points(c)
+            param = [point_from_parameter(c, AT_INFINITY)._xy]
+            param += [point_from_parameter(c, t)._xy for t in range(p) if (t * t + 1) % p]
+            assert got == sorted(param), (p, m1, m2, r)
+            assert got == sorted(brute_circle_prime(p, m1, m2, r)), (p, m1, m2, r)
+
+
+def test_prime_field_enumeration_inverts_nothing(monkeypatch):
+    def refuse(self, a):
+        raise AssertionError("a field inversion during enumeration")
+
+    circles = [circle(PrimeField(p), center, r) for p, center, r in
+               ((3, (1, 2), 2), (7, (0, 0), 1), (13, (5, 9), 2), (1009, (400, 17), 11))]
+    expected = [enumerate_circle(c) for c in circles]
+    monkeypatch.setattr(PrimeField, "_inv", refuse)
+    assert [enumerate_circle(c) for c in circles] == expected
+    assert [len(s) for s in partition_prime_field_circle(circles[2])] == [6, 6]
+
+
+def test_corrupted_table_is_refused(monkeypatch):
+    # an entry that some x reads, flipped between square and non-square or set to
+    # p (two equal points), fails the count or the order check, also under
+    # python -O; an entry no x reads leaves the list as it was
+    c = circle(PrimeField(13), (5, 9), 2)
+    good, table = _raw_circle_points(c), _prime_square_roots(13)
+    for v in range(13):
+        read = any((4 - (x - 5) ** 2 - v) % 13 == 0 for x in range(13))
+        for wrong in (1 if table[v] < 0 else -1, 13):
+            corrupt = array("i", table)
+            corrupt[v] = wrong
+            monkeypatch.setattr(plane, "_prime_square_roots", lambda p: corrupt)
+            if read:
+                with pytest.raises(AssertionError, match="enumeration produced"):
+                    _raw_circle_points(c)
+            else:
+                assert _raw_circle_points(c) == good, (v, wrong)
 
 
 def test_cardinality_formula():
